@@ -141,18 +141,11 @@ pub struct ServeSpec {
     pub max_wait_us: u64,
     /// Daemon: admission-queue capacity (`Overloaded` beyond it).
     pub queue_cap: usize,
-    /// Daemon: venue-affine dispatch shards (`1` = the legacy single
-    /// admission queue, kept as the A/B correctness oracle).
-    pub queue_shards: usize,
-    /// Daemon: acceptor threads sharing the listening socket.
-    pub acceptors: usize,
     /// Daemon: batcher threads forming micro-batches.
     pub batchers: usize,
     /// Daemon: exit after this many responses (0 = run until killed).
     pub max_requests: usize,
-    /// Daemon: socket backend (event loop or thread-per-connection).
-    pub socket_backend: nomloc_net::SocketBackend,
-    /// Daemon: event-loop threads (event-loop backend only).
+    /// Daemon: event-loop threads.
     pub event_loops: usize,
     /// Daemon: fleet venues pre-onboarded at startup (ids `1..=N`,
     /// rotating scaled floor plans from `fleet_venue`).
@@ -174,11 +167,8 @@ impl Default for ServeSpec {
             max_batch: 32,
             max_wait_us: 500,
             queue_cap: 1024,
-            queue_shards: 8,
-            acceptors: 2,
             batchers: 2,
             max_requests: 0,
-            socket_backend: nomloc_net::SocketBackend::default(),
             event_loops: 2,
             venues: 0,
             venue_budget: 0,
@@ -210,10 +200,8 @@ pub struct LoadgenSpec {
     /// only — the counters never travel on the wire, so with `--connect`
     /// this prints a pointer at the daemon's own stats output instead.
     pub payload_reuse: bool,
-    /// Loopback daemon: socket backend.
-    pub socket_backend: nomloc_net::SocketBackend,
     /// Extra connections opened and held idle for the whole run —
-    /// exercises the event-loop backend's mostly-idle scaling.
+    /// exercises the event loops' mostly-idle scaling.
     pub idle_connections: usize,
     /// Fleet venues onboarded over the admin plane before driving (ids
     /// `1..=N`); traffic is then spread zipf-over-venues across ids
@@ -245,7 +233,6 @@ impl Default for LoadgenSpec {
             deadline_us: 0,
             workers: 0,
             payload_reuse: false,
-            socket_backend: nomloc_net::SocketBackend::default(),
             idle_connections: 0,
             venues: 0,
             zipf: 1.0,
@@ -274,8 +261,6 @@ pub struct ChaosSpec {
     /// Kill a batcher thread after every Nth batch (0 = never), proving
     /// the watchdog respawns them without losing requests.
     pub kill_every: usize,
-    /// Loopback daemon: socket backend.
-    pub socket_backend: nomloc_net::SocketBackend,
     /// Concurrent sessions the chaos run interleaves (0 = stateless).
     /// With N ≥ 2 the verifier's per-session tracker replay doubles as a
     /// cross-wire detector, and the plan's stale-session fault is armed.
@@ -292,7 +277,6 @@ impl Default for ChaosSpec {
             rate: 0.03,
             workers: 0,
             kill_every: 0,
-            socket_backend: nomloc_net::SocketBackend::default(),
             sessions: 0,
         }
     }
@@ -442,17 +426,10 @@ SERVE OPTIONS:
     --max-batch N                 daemon: micro-batch size cap (default 32)
     --max-wait-us N               daemon: micro-batch max wait (default 500)
     --queue-cap N                 daemon: admission queue cap (default 1024)
-    --queue-shards N              daemon: venue-affine dispatch shards
-                                  (default 8; 1 = legacy single queue)
-    --acceptors N                 daemon: acceptor threads (default 2)
     --batchers N                  daemon: batcher threads (default 2)
     --max-requests N              daemon: exit after N responses (default 0
                                   = run until killed)
-    --socket-backend threaded|event-loop
-                                  daemon: socket layer (default event-loop
-                                  on Unix; threaded elsewhere)
-    --event-loops N               daemon: event-loop threads (default 2;
-                                  event-loop backend only)
+    --event-loops N               daemon: event-loop threads (default 2)
     --venues N                    daemon: pre-onboard N fleet venues
                                   (ids 1..=N; default 0)
     --venue-budget BYTES          daemon: venue-cache memory budget; cold
@@ -473,9 +450,6 @@ LOADGEN OPTIONS:
     --payload-reuse               report reply-buffer reuse: bytes encoded,
                                   bytes into pooled buffers, pool hit-rate
                                   (daemon-local counters; loopback only)
-    --socket-backend threaded|event-loop
-                                  loopback daemon socket layer (default
-                                  event-loop on Unix)
     --idle-connections N          extra connections opened and held idle
                                   for the whole run (default 0)
     --venues N                    onboard N fleet venues over the admin
@@ -503,9 +477,6 @@ CHAOS OPTIONS:
     --kill-every N                kill a batcher after every Nth batch,
                                   0 = never (default 0; watchdog respawns)
     --workers N                   loopback daemon worker threads (default 0)
-    --socket-backend threaded|event-loop
-                                  loopback daemon socket layer (default
-                                  event-loop on Unix)
     --sessions N                  interleave N concurrent sessions, verified
                                   by per-session tracker replay (cross-wire
                                   detection; arms the stale-session fault;
@@ -663,14 +634,6 @@ fn parse_map(args: &[String]) -> Result<MapSpec, ParseError> {
     Ok(spec)
 }
 
-fn parse_backend(value: &str) -> Result<nomloc_net::SocketBackend, ParseError> {
-    nomloc_net::SocketBackend::parse(value).ok_or_else(|| {
-        err(format!(
-            "flag `--socket-backend`: unknown backend `{value}` (threaded|event-loop)"
-        ))
-    })
-}
-
 fn parse_serve(args: &[String]) -> Result<ServeSpec, ParseError> {
     let mut spec = ServeSpec::default();
     let mut it = args.iter();
@@ -703,18 +666,6 @@ fn parse_serve(args: &[String]) -> Result<ServeSpec, ParseError> {
                     return Err(err("flag `--queue-cap`: must be positive"));
                 }
             }
-            "--queue-shards" => {
-                spec.queue_shards = parse_usize(flag, take_value(flag, &mut it)?)?;
-                if spec.queue_shards == 0 {
-                    return Err(err("flag `--queue-shards`: must be positive"));
-                }
-            }
-            "--acceptors" => {
-                spec.acceptors = parse_usize(flag, take_value(flag, &mut it)?)?;
-                if spec.acceptors == 0 {
-                    return Err(err("flag `--acceptors`: must be positive"));
-                }
-            }
             "--batchers" => {
                 spec.batchers = parse_usize(flag, take_value(flag, &mut it)?)?;
                 if spec.batchers == 0 {
@@ -722,7 +673,6 @@ fn parse_serve(args: &[String]) -> Result<ServeSpec, ParseError> {
                 }
             }
             "--max-requests" => spec.max_requests = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--socket-backend" => spec.socket_backend = parse_backend(take_value(flag, &mut it)?)?,
             "--event-loops" => {
                 spec.event_loops = parse_usize(flag, take_value(flag, &mut it)?)?;
                 if spec.event_loops == 0 {
@@ -764,7 +714,6 @@ fn parse_loadgen(args: &[String]) -> Result<LoadgenSpec, ParseError> {
             }
             "--workers" => spec.workers = parse_usize(flag, take_value(flag, &mut it)?)?,
             "--payload-reuse" => spec.payload_reuse = true,
-            "--socket-backend" => spec.socket_backend = parse_backend(take_value(flag, &mut it)?)?,
             "--idle-connections" => {
                 spec.idle_connections = parse_usize(flag, take_value(flag, &mut it)?)?
             }
@@ -801,7 +750,6 @@ fn parse_chaos(args: &[String]) -> Result<ChaosSpec, ParseError> {
             }
             "--kill-every" => spec.kill_every = parse_usize(flag, take_value(flag, &mut it)?)?,
             "--workers" => spec.workers = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--socket-backend" => spec.socket_backend = parse_backend(take_value(flag, &mut it)?)?,
             "--sessions" => {
                 spec.sessions = take_value(flag, &mut it)?
                     .parse()
@@ -1043,13 +991,10 @@ pub fn start_daemon(spec: &ServeSpec) -> Result<nomloc_net::DaemonHandle, String
     let venue = spec.venue.venue();
     let server = serve_server(spec, &venue);
     let config = nomloc_net::DaemonConfig {
-        acceptors: spec.acceptors,
         batchers: spec.batchers,
         max_batch: spec.max_batch,
         max_wait: std::time::Duration::from_micros(spec.max_wait_us),
         queue_capacity: spec.queue_cap,
-        queue_shards: spec.queue_shards,
-        socket_backend: spec.socket_backend,
         event_loops: spec.event_loops,
         venue_budget_bytes: spec.venue_budget,
         ..nomloc_net::DaemonConfig::default()
@@ -1085,7 +1030,6 @@ pub fn run_loadgen(spec: &LoadgenSpec) -> Result<String, String> {
             venue: spec.venue,
             workers: spec.workers,
             listen: Some("127.0.0.1:0".to_string()),
-            socket_backend: spec.socket_backend,
             ..ServeSpec::default()
         };
         Some(start_daemon(&serve_spec)?)
@@ -1219,7 +1163,6 @@ pub fn run_chaos(spec: &ChaosSpec) -> Result<String, String> {
     let config = nomloc_net::DaemonConfig {
         fault_plan: Some(plan),
         kill_batcher_every: spec.kill_every as u64,
-        socket_backend: spec.socket_backend,
         ..nomloc_net::DaemonConfig::default()
     };
     let handle = nomloc_net::spawn(chaos_server(spec, &venue), config, "127.0.0.1:0")
@@ -1479,8 +1422,7 @@ mod tests {
     fn serve_daemon_flags() {
         let cmd = parse(&args(
             "serve --listen 127.0.0.1:4455 --max-batch 8 --max-wait-us 250 \
-             --queue-cap 64 --queue-shards 4 --acceptors 1 --batchers 3 \
-             --max-requests 500",
+             --queue-cap 64 --batchers 3 --max-requests 500",
         ))
         .unwrap();
         assert_eq!(
@@ -1490,8 +1432,6 @@ mod tests {
                 max_batch: 8,
                 max_wait_us: 250,
                 queue_cap: 64,
-                queue_shards: 4,
-                acceptors: 1,
                 batchers: 3,
                 max_requests: 500,
                 ..ServeSpec::default()
@@ -1500,8 +1440,6 @@ mod tests {
         // Zero is nonsense for sizing knobs and rejected at parse time.
         assert!(parse(&args("serve --max-batch 0")).is_err());
         assert!(parse(&args("serve --queue-cap 0")).is_err());
-        assert!(parse(&args("serve --queue-shards 0")).is_err());
-        assert!(parse(&args("serve --acceptors 0")).is_err());
         assert!(parse(&args("serve --batchers 0")).is_err());
         assert!(parse(&args("serve --event-loops 0")).is_err());
     }
@@ -1569,32 +1507,23 @@ mod tests {
     }
 
     #[test]
-    fn socket_backend_flag() {
-        use nomloc_net::SocketBackend;
-        for (value, want) in [
-            ("threaded", SocketBackend::Threaded),
-            ("event-loop", SocketBackend::EventLoop),
-            ("event_loop", SocketBackend::EventLoop),
-        ] {
-            let cmd = parse(&args(&format!("serve --socket-backend {value}"))).unwrap();
-            let Command::Serve(spec) = cmd else {
-                panic!("not serve")
-            };
-            assert_eq!(spec.socket_backend, want, "value `{value}`");
+    fn retired_daemon_flags_are_unknown() {
+        // Retired daemon flags are rejected, not silently ignored.
+        for command in ["serve", "loadgen"] {
+            for name in ["socket-backend", "queue-shards", "acceptors"] {
+                let e = parse(&args(&format!("{command} --{name} 2"))).unwrap_err();
+                assert_eq!(
+                    e.to_string(),
+                    format!("unknown {command} flag `--{name}`"),
+                    "`{command} --{name}`"
+                );
+            }
         }
-        let cmd = parse(&args("serve --socket-backend event-loop --event-loops 4")).unwrap();
+        let cmd = parse(&args("serve --event-loops 4")).unwrap();
         let Command::Serve(spec) = cmd else {
             panic!("not serve")
         };
         assert_eq!(spec.event_loops, 4);
-        // All three daemon-spawning subcommands accept the flag.
-        assert!(parse(&args("loadgen --socket-backend threaded")).is_ok());
-        assert!(parse(&args("chaos --socket-backend threaded")).is_ok());
-        // Unknown backends are rejected with the valid values listed.
-        let e = parse(&args("serve --socket-backend fibers")).unwrap_err();
-        assert!(e.to_string().contains("event-loop"), "unhelpful: {e}");
-        assert!(parse(&args("loadgen --socket-backend fibers")).is_err());
-        assert!(parse(&args("chaos --socket-backend fibers")).is_err());
     }
 
     #[test]
@@ -1602,7 +1531,7 @@ mod tests {
         let cmd = parse(&args(
             "loadgen --connect 10.0.0.7:4455 --venue mall --connections 8 \
              --requests 2000 --packets 2 --seed 7 --deadline-us 1500 --workers 3 \
-             --payload-reuse --socket-backend threaded --idle-connections 5000 \
+             --payload-reuse --idle-connections 5000 \
              --venues 100 --zipf 1.2 --sessions --concurrency 6",
         ))
         .unwrap();
@@ -1618,7 +1547,6 @@ mod tests {
                 deadline_us: 1500,
                 workers: 3,
                 payload_reuse: true,
-                socket_backend: nomloc_net::SocketBackend::Threaded,
                 idle_connections: 5000,
                 venues: 100,
                 zipf: 1.2,
@@ -1651,7 +1579,6 @@ mod tests {
                 rate: 0.05,
                 workers: 2,
                 kill_every: 6,
-                socket_backend: nomloc_net::SocketBackend::default(),
                 sessions: 3,
             })
         );

@@ -1,9 +1,8 @@
-//! The `nomloc-net` serving daemon: event-driven (or thread-per-
-//! connection) TCP socket layer, cross-connection micro-batching,
-//! admission control, deadlines, and graceful drain.
+//! The `nomloc-net` serving daemon: event-driven TCP socket layer,
+//! cross-connection micro-batching, admission control, deadlines, and
+//! graceful drain. Unix-only: the socket layer runs on [`crate::poll`].
 //!
-//! Threading model (all `std`, no async runtime), with the default
-//! event-loop socket backend:
+//! Threading model (all `std`, no async runtime):
 //!
 //! ```text
 //!  event loop 0 ─ owns conns ┐  ┌ shard 0 ─▶ batcher 0 ┐
@@ -14,113 +13,58 @@
 //!                      park/unpark wakeups                by owning loop
 //! ```
 //!
-//! * **Socket backends** ([`SocketBackend`]): the default `EventLoop`
-//!   backend runs `event_loops` readiness-driven threads (see
-//!   [`crate::poll`]), each owning nonblocking connections; the
-//!   `Threaded` backend keeps the original sharded-acceptor,
-//!   thread-per-connection model. The serving contract is identical —
-//!   the loopback/chaos/daemon suites run against both.
-//! * **Connection readers** (a loop iteration or a reader thread) parse
-//!   frames incrementally with [`crate::wire::StreamDecoder`]; a
-//!   protocol violation (bad magic, CRC, version…) answers with a
-//!   `Malformed` reply for request id 0 and closes the connection.
-//! * **Cross-connection micro-batching**: readers push decoded requests
-//!   into the dispatch plane (see [`dispatch`]) — `queue_shards`
-//!   venue-affine shard queues by default, or the legacy single global
-//!   queue with `--queue-shards 1`; `batchers` threads pop
-//!   venue-homogeneous batches of up to `max_batch` requests, waiting at
-//!   most `max_wait` — requests from *different* connections land in the
-//!   same `LocalizationServer::process_batch` call.
+//! * **Socket layer**: `event_loops` readiness-driven threads, each
+//!   owning nonblocking connections with bounded outbound buffers and
+//!   slow-reader eviction. Connections parse frames incrementally with
+//!   [`crate::wire::StreamDecoder`]; a protocol violation (bad magic,
+//!   CRC, version…) answers with a `Malformed` reply for request id 0
+//!   and closes the connection.
+//! * **Cross-connection micro-batching**: event loops push decoded
+//!   requests into the dispatch plane — eight venue-affine shard queues
+//!   with work stealing; `batchers` threads pop venue-homogeneous
+//!   batches of up to `max_batch` requests, waiting at most `max_wait`
+//!   — requests from *different* connections land in the same
+//!   `LocalizationServer::process_batch` call.
 //! * **Admission control**: when the plane holds `queue_capacity`
-//!   requests (a global bound, regardless of sharding), new arrivals are
-//!   answered `Overloaded` immediately instead of buffering without
-//!   bound.
+//!   requests (a global bound across shards), new arrivals are answered
+//!   `Overloaded` immediately instead of buffering without bound.
 //! * **Deadlines**: a request carrying `deadline_us > 0` that ages past
 //!   it while queued is answered `DeadlineExceeded` and never solved.
-//! * **Graceful drain**: [`DaemonHandle::shutdown`] stops the acceptors
-//!   and readers, then lets the batchers empty the queue — every admitted
-//!   request is answered — before joining all threads.
+//! * **Graceful drain**: [`DaemonHandle::shutdown`] closes admission and
+//!   stops the loops reading, lets the batchers empty the plane — every
+//!   admitted request is answered — then flushes every queued reply
+//!   before joining all threads.
 
 use crate::pool::BufferPool;
 use crate::registry::{RegistryReader, ResolveError, VenueEntry, VenueRegistry};
 use crate::sessions::{SessionConfig, SessionTable, SessionView, PREDICTED_ERROR_WIDENING};
 use crate::wire::{
-    self, ErrorCode, ErrorReply, Frame, LocateResponse, ServerHealth, StreamDecoder,
-    VenueAdminResponse, WireError, WireEstimate, WireSession,
+    self, ErrorCode, ErrorReply, Frame, LocateResponse, ServerHealth, VenueAdminResponse,
+    WireEstimate, WireSession,
 };
+use event::QueuedSink;
 use nomloc_core::server::CsiReport;
 use nomloc_core::stats::{PipelineStats, StatsSnapshot};
 use nomloc_core::{EstimateQuality, LocalizationServer};
 use nomloc_faults::{FaultClass, FaultPlan};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 mod dispatch;
-#[cfg(unix)]
 mod event;
 
-/// How long blocked reads and condvar waits sleep between checks of the
-/// shutdown flag — bounds shutdown latency, not throughput.
+/// How long parked batchers and idle event loops sleep between checks
+/// of the shutdown flag — bounds shutdown latency, not throughput.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// Which socket layer carries connections between the kernel and the
-/// micro-batcher queue. Everything above the sockets — wire semantics,
-/// admission, deadlines, batching, degradation, drain — is identical;
-/// the parameterized test suites run against both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SocketBackend {
-    /// Sharded blocking acceptors plus one reader thread per connection.
-    /// Simple and portable; collapses at tens of thousands of mostly-idle
-    /// connections (one OS thread each).
-    Threaded,
-    /// `event_loops` readiness-driven threads (epoll on Linux, `poll(2)`
-    /// elsewhere on Unix) owning every connection nonblockingly, with
-    /// bounded per-connection write buffers and slow-reader eviction.
-    /// Holds 10k+ mostly-idle connections at a few hundred bytes each.
-    EventLoop,
-}
-
-impl Default for SocketBackend {
-    /// `EventLoop` where the poll layer exists (Unix), else `Threaded`.
-    fn default() -> Self {
-        if cfg!(unix) {
-            SocketBackend::EventLoop
-        } else {
-            SocketBackend::Threaded
-        }
-    }
-}
-
-impl SocketBackend {
-    /// Parses the CLI spelling (`"threaded"` / `"event-loop"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "threaded" => Some(SocketBackend::Threaded),
-            "event-loop" | "event_loop" | "eventloop" => Some(SocketBackend::EventLoop),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SocketBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SocketBackend::Threaded => "threaded",
-            SocketBackend::EventLoop => "event-loop",
-        })
-    }
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Acceptor threads sharing the listening socket.
-    pub acceptors: usize,
     /// Batcher threads popping micro-batches off the admission queue.
     pub batchers: usize,
     /// Flush a micro-batch as soon as it reaches this many requests.
@@ -128,14 +72,9 @@ pub struct DaemonConfig {
     /// …or once this much time has passed since its first request.
     pub max_wait: Duration,
     /// Admission-queue capacity; arrivals beyond it get `Overloaded`.
-    /// A *global* bound: the sharded plane enforces it with one atomic
+    /// A *global* bound: the dispatch plane enforces it with one atomic
     /// gauge across all shards.
     pub queue_capacity: usize,
-    /// Shard count of the venue-affine dispatch plane. `1` selects the
-    /// legacy single global queue (the A/B correctness oracle for the
-    /// sharded layout); higher values spread venues over that many
-    /// lock-light shard queues by fibonacci hash.
-    pub queue_shards: usize,
     /// Artificial pause before each batch solve. Zero in production; the
     /// overload tests use it to throttle the drain rate deterministically.
     pub batch_pause: Duration,
@@ -144,20 +83,18 @@ pub struct DaemonConfig {
     /// batch solve, exercising the `catch_unwind` isolation path.
     pub fault_plan: Option<FaultPlan>,
     /// Chaos knob: kill a batcher thread after it pops every Nth batch
-    /// (globally counted); 0 = never. The dying batcher requeues its
+    /// (globally counted); 0 and 1 = never (1 would kill every batcher on
+    /// every batch and livelock the pool). The dying batcher requeues its
     /// batch at the queue front, so no admitted request is lost, and the
     /// watchdog respawns a replacement (counted in `batchers_respawned`).
     pub kill_batcher_every: u64,
-    /// Which socket layer carries connections (see [`SocketBackend`]).
-    pub socket_backend: SocketBackend,
-    /// Event-loop threads for the `EventLoop` backend (ignored by
-    /// `Threaded`). Connections are pinned to the loop that accepted
-    /// them.
+    /// Event-loop threads of the socket layer. Connections are pinned to
+    /// the loop that accepted them.
     pub event_loops: usize,
-    /// Per-connection outbound buffer cap for the `EventLoop` backend: a
-    /// connection whose peer stops reading is evicted once its unflushed
-    /// replies exceed this many bytes (`slow_readers_evicted` in the
-    /// health snapshot), instead of buffering without bound.
+    /// Per-connection outbound buffer cap: a connection whose peer stops
+    /// reading is evicted once its unflushed replies exceed this many
+    /// bytes (`slow_readers_evicted` in the health snapshot), instead of
+    /// buffering without bound.
     pub write_buffer_cap: usize,
     /// Memory budget for resident venue caches
     /// ([`nomloc_core::cache::VenueCache::approx_bytes`] summed over the
@@ -174,16 +111,13 @@ pub struct DaemonConfig {
 impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
-            acceptors: 2,
             batchers: 2,
             max_batch: 32,
             max_wait: Duration::from_micros(500),
             queue_capacity: 1024,
-            queue_shards: 8,
             batch_pause: Duration::ZERO,
             fault_plan: None,
             kill_batcher_every: 0,
-            socket_backend: SocketBackend::default(),
             event_loops: 2,
             write_buffer_cap: 1 << 20,
             venue_budget_bytes: 0,
@@ -215,13 +149,9 @@ struct NetCounters {
     batchers_respawned: AtomicU64,
     /// Batches popped across all batchers — drives `kill_batcher_every`.
     batches_popped: AtomicU64,
-    /// Event-loop connections evicted for overflowing their bounded
-    /// outbound write buffer (a peer that stopped reading).
+    /// Connections evicted for overflowing their bounded outbound write
+    /// buffer (a peer that stopped reading).
     slow_readers_evicted: AtomicU64,
-    /// Finished per-connection reader threads reaped opportunistically
-    /// by the threaded backend's acceptors (satellite of the shutdown
-    /// join, which drains the remainder).
-    conn_threads_reaped: AtomicU64,
 }
 
 /// One admitted request waiting for a batcher.
@@ -233,35 +163,7 @@ struct Pending {
     reports: Vec<CsiReport>,
     admitted_at: Instant,
     deadline: Option<Duration>,
-    writer: Arc<ConnWriter>,
-}
-
-/// The write half of a connection, backend-agnostic: batchers hand every
-/// encoded reply to [`ConnWriter::send`] and never touch a socket type
-/// directly, so `solve_and_reply` (including its `Arc::ptr_eq` write
-/// coalescing) is identical across backends.
-enum ConnWriter {
-    /// Threaded backend: blocking writes under a lock, so concurrent
-    /// replies interleave as whole frames.
-    Direct(Mutex<TcpStream>),
-    /// Event-loop backend: appends to a bounded per-connection buffer
-    /// flushed by the owning loop on write-readiness.
-    #[cfg(unix)]
-    Queued(event::QueuedSink),
-}
-
-impl ConnWriter {
-    /// Sends (or queues) one or more whole encoded frames. Returns
-    /// whether the bytes were accepted — a closed peer or an evicted
-    /// slow reader returns `false`, which callers treat exactly like the
-    /// threaded backend treats a failed `write_all`: the client's loss.
-    fn send(&self, bytes: &[u8]) -> bool {
-        match self {
-            ConnWriter::Direct(stream) => stream.lock().unwrap().write_all(bytes).is_ok(),
-            #[cfg(unix)]
-            ConnWriter::Queued(sink) => sink.send(bytes),
-        }
-    }
+    writer: Arc<QueuedSink>,
 }
 
 struct Shared {
@@ -272,16 +174,14 @@ struct Shared {
     /// every per-venue server the registry builds).
     stats: Arc<PipelineStats>,
     config: DaemonConfig,
-    /// The admission/dispatch plane: sharded venue-affine queues, or the
-    /// single-queue oracle when `queue_shards <= 1`.
-    dispatch: dispatch::Dispatch,
+    /// The admission/dispatch plane: sharded venue-affine queues.
+    dispatch: dispatch::Sharded,
     /// The batching parameters `dispatch` needs, copied out of `config`
     /// once at spawn.
     dispatch_config: dispatch::DispatchConfig,
     shutting_down: AtomicBool,
-    /// Second shutdown phase (event-loop backend): every batcher is
-    /// joined and every reply queued — loops flush their remaining
-    /// outbound bytes and exit.
+    /// Second shutdown phase: every batcher is joined and every reply
+    /// queued — loops flush their remaining outbound bytes and exit.
     drain_flush: AtomicBool,
     net: NetCounters,
     /// The session plane. Owned here — OUTSIDE the batcher threads — so
@@ -290,30 +190,20 @@ struct Shared {
     /// `Arc` so the chaos harness can hold the table across the daemon's
     /// lifetime and force TTL races.
     sessions: Arc<SessionTable>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
     /// Reusable `Vec<u8>` backing stores for reply-frame encoding, shared
-    /// by readers and batchers. Hit/miss and byte counters surface through
-    /// `PipelineStats` → `ServerHealth` (daemon-local display only).
+    /// by event loops and batchers. Hit/miss and byte counters surface
+    /// through `PipelineStats` → `ServerHealth` (daemon-local display
+    /// only).
     pool: BufferPool,
-}
-
-/// The running socket layer's thread handles, by backend.
-enum SocketLayer {
-    Threaded {
-        acceptors: Vec<JoinHandle<()>>,
-    },
-    #[cfg(unix)]
-    Event {
-        threads: Vec<JoinHandle<()>>,
-        loops: Vec<Arc<event::LoopShared>>,
-    },
 }
 
 /// Handle to a running daemon: address, live stats, graceful shutdown.
 pub struct DaemonHandle {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    sockets: SocketLayer,
+    /// The event-loop threads and their cross-thread handles.
+    loop_threads: Vec<JoinHandle<()>>,
+    loops: Vec<Arc<event::LoopShared>>,
     /// Owns the batcher handles; respawns dead batchers until shutdown,
     /// then drains the queue and joins them.
     watchdog: JoinHandle<()>,
@@ -355,7 +245,7 @@ pub fn spawn<A: ToSocketAddrs>(
     let shared = Arc::new(Shared {
         registry,
         stats,
-        dispatch: dispatch::Dispatch::new(config.queue_shards, config.batchers.max(1)),
+        dispatch: dispatch::Sharded::new(config.batchers.max(1)),
         dispatch_config: dispatch::DispatchConfig {
             max_batch: config.max_batch,
             max_wait: config.max_wait,
@@ -369,24 +259,12 @@ pub fn spawn<A: ToSocketAddrs>(
             ttl: config.session_ttl,
             shards: config.session_shards,
         })),
-        conn_threads: Mutex::new(Vec::new()),
-        // Enough idle buffers for every reader and batcher to hold one
+        // Enough idle buffers for every event loop and batcher to hold one
         // while others are checked out; excess returns are dropped.
         pool: BufferPool::new(64),
     });
 
-    let sockets = match config.socket_backend {
-        SocketBackend::Threaded => {
-            let mut acceptors = Vec::with_capacity(config.acceptors.max(1));
-            for _ in 0..config.acceptors.max(1) {
-                let listener = listener.try_clone()?;
-                let shared = Arc::clone(&shared);
-                acceptors.push(std::thread::spawn(move || accept_loop(&shared, &listener)));
-            }
-            SocketLayer::Threaded { acceptors }
-        }
-        SocketBackend::EventLoop => spawn_event_layer(&shared, &listener)?,
-    };
+    let (loop_threads, loops) = event::spawn_loops(&shared, &listener)?;
 
     let mut batchers = Vec::with_capacity(config.batchers.max(1));
     for idx in 0..config.batchers.max(1) {
@@ -400,23 +278,10 @@ pub fn spawn<A: ToSocketAddrs>(
     Ok(DaemonHandle {
         shared,
         local_addr,
-        sockets,
+        loop_threads,
+        loops,
         watchdog,
     })
-}
-
-#[cfg(unix)]
-fn spawn_event_layer(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<SocketLayer> {
-    let (threads, loops) = event::spawn_loops(shared, listener)?;
-    Ok(SocketLayer::Event { threads, loops })
-}
-
-#[cfg(not(unix))]
-fn spawn_event_layer(_shared: &Arc<Shared>, _listener: &TcpListener) -> io::Result<SocketLayer> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "the event-loop socket backend needs a Unix readiness API; use SocketBackend::Threaded",
-    ))
 }
 
 fn spawn_batcher(shared: &Arc<Shared>, idx: usize) -> JoinHandle<()> {
@@ -456,9 +321,10 @@ fn watchdog_loop(shared: &Arc<Shared>, mut batchers: Vec<JoinHandle<()>>) {
     }
     // A batcher that killed itself after the shutdown flag was set leaves
     // its requeued batch behind with nobody to respawn for it — answer it
-    // here (single-threaded: every batcher is joined, so requeue races
-    // are over). `next_batch` returns `false` once the plane is truly
-    // empty.
+    // here, borrowing slot 0 (every batcher is joined, so requeue races
+    // are over). `next_batch` waits out any admission still in flight
+    // and returns `false` once the plane is truly empty; admissions that
+    // reserve after that see the flag and back out.
     let mut scratch = BatcherScratch::default();
     while next_batch(shared, 0, &mut scratch) {
         solve_and_reply(shared, &mut scratch);
@@ -473,7 +339,7 @@ fn next_batch(shared: &Shared, batcher: usize, scratch: &mut BatcherScratch) -> 
         batcher,
         &mut scratch.batch,
         &shared.dispatch_config,
-        || shared.shutting_down.load(Ordering::Acquire),
+        || shared.shutting_down.load(Ordering::SeqCst),
         &shared.stats,
     )
 }
@@ -534,74 +400,43 @@ impl DaemonHandle {
     }
 
     /// Connections evicted so far for overflowing their bounded outbound
-    /// write buffer (event-loop backend; always 0 on threaded).
+    /// write buffer.
     pub fn slow_readers_evicted(&self) -> u64 {
         self.shared.net.slow_readers_evicted.load(Ordering::Relaxed)
     }
 
-    /// Per-connection reader threads not yet reaped (threaded backend
-    /// only; the event-loop backend spawns none). Acceptors join
-    /// finished readers opportunistically, so this tracks *live*
-    /// connections plus at most the few finished since the last accept.
-    pub fn live_conn_threads(&self) -> usize {
-        self.shared.conn_threads.lock().unwrap().len()
-    }
-
-    /// Graceful drain: stop accepting, let readers wind down, answer every
-    /// admitted request, then join all threads. Returns the final health.
+    /// Graceful drain: close admission, answer every admitted request,
+    /// flush every reply, then join all threads. Returns the final health.
     pub fn shutdown(self) -> ServerHealth {
         let DaemonHandle {
             shared,
-            local_addr,
-            sockets,
+            loop_threads,
+            loops,
             watchdog,
+            ..
         } = self;
-        shared.shutting_down.store(true, Ordering::Release);
-        match sockets {
-            SocketLayer::Threaded { acceptors } => {
-                // Unblock acceptors parked in accept(2) with dummy
-                // connections.
-                for _ in &acceptors {
-                    let _ = TcpStream::connect(local_addr);
-                }
-                for h in acceptors {
-                    let _ = h.join();
-                }
-                // No new connection threads can start now; readers notice
-                // the flag within one poll interval.
-                let conns: Vec<JoinHandle<()>> =
-                    std::mem::take(&mut *shared.conn_threads.lock().unwrap());
-                for h in conns {
-                    let _ = h.join();
-                }
-                // The watchdog joins the batchers, which drain the plane
-                // and exit on (empty && shutting_down), then drains any
-                // kill-requeued tail.
-                shared.dispatch.wake_all();
-                let _ = watchdog.join();
-            }
-            #[cfg(unix)]
-            SocketLayer::Event { threads, loops } => {
-                // Phase one: wake every loop so it deregisters its
-                // listener and stops consuming input; batchers drain the
-                // admitted queue, queueing replies onto the per-connection
-                // buffers, which the loops keep flushing meanwhile.
-                for l in &loops {
-                    l.wake();
-                }
-                shared.dispatch.wake_all();
-                let _ = watchdog.join();
-                // Phase two: every reply is queued — tell the loops to
-                // flush their remaining outbound bytes and exit, so
-                // "every admitted request is answered" holds on the wire.
-                shared.drain_flush.store(true, Ordering::Release);
-                for l in &loops {
-                    l.wake();
-                }
-                for h in threads {
-                    let _ = h.join();
-                }
-            }
+        // SeqCst pairs with the admission path's reservation (see
+        // `dispatch`): once the drain sees an empty plane, every later
+        // admission sees this flag.
+        shared.shutting_down.store(true, Ordering::SeqCst);
+        // Phase one: wake every loop so it deregisters its listener and
+        // stops consuming input; batchers drain the admitted queue,
+        // queueing replies onto the per-connection buffers, which the
+        // loops keep flushing meanwhile.
+        for l in &loops {
+            l.wake();
+        }
+        shared.dispatch.wake_all();
+        let _ = watchdog.join();
+        // Phase two: every reply is queued — tell the loops to flush their
+        // remaining outbound bytes and exit, so "every admitted request is
+        // answered" holds on the wire.
+        shared.drain_flush.store(true, Ordering::Release);
+        for l in &loops {
+            l.wake();
+        }
+        for h in loop_threads {
+            let _ = h.join();
         }
         health_of(&shared)
     }
@@ -646,59 +481,17 @@ fn health_of(shared: &Shared) -> ServerHealth {
         enqueue_contention: snap.counters.enqueue_contention,
         queue_steals: snap.counters.queue_steals,
         shard_depth_peak: snap.counters.shard_depth_peak,
-        queue_shards: shared.config.queue_shards.max(1) as u64,
+        queue_shards: dispatch::QUEUE_SHARDS as u64,
         venues: shared.registry.health(),
-    }
-}
-
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutting_down.load(Ordering::Acquire) {
-                    return; // the wake-up connection from shutdown()
-                }
-                shared
-                    .net
-                    .connections_accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                let shared_conn = Arc::clone(shared);
-                let handle = std::thread::spawn(move || conn_loop(&shared_conn, stream));
-                let mut conns = shared.conn_threads.lock().unwrap();
-                // Opportunistic reap: join readers that already finished
-                // so a long-lived daemon holds handles proportional to
-                // *live* connections, not to connections ever accepted.
-                // (Joining a finished thread returns immediately.)
-                let mut i = 0;
-                while i < conns.len() {
-                    if conns[i].is_finished() {
-                        let _ = conns.swap_remove(i).join();
-                        shared
-                            .net
-                            .conn_threads_reaped
-                            .fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        i += 1;
-                    }
-                }
-                conns.push(handle);
-            }
-            Err(_) => {
-                if shared.shutting_down.load(Ordering::Acquire) {
-                    return;
-                }
-                // Transient accept error (e.g. EMFILE): back off briefly.
-                std::thread::sleep(POLL_INTERVAL);
-            }
-        }
     }
 }
 
 /// Sends one reply frame, bumping the response counters. The frame is
 /// encoded into a pooled buffer (returned afterwards), so steady-state
-/// replies reuse backing stores instead of allocating. Write errors are
-/// swallowed: the client hung up, which is its prerogative.
-fn reply(shared: &Shared, writer: &ConnWriter, response: LocateResponse) {
+/// replies reuse backing stores instead of allocating. A reply to a
+/// closed or evicted connection is dropped: the client hung up, which is
+/// its prerogative.
+fn reply(shared: &Shared, writer: &QueuedSink, response: LocateResponse) {
     let ok = response.outcome.is_ok();
     let frame = Frame::LocateResponse(response);
     let (mut bytes, reused) = shared.pool.get();
@@ -718,7 +511,7 @@ fn reply(shared: &Shared, writer: &ConnWriter, response: LocateResponse) {
 /// Answers a request whose version byte we cannot serve with a clean
 /// [`ErrorCode::UnsupportedVersion`] reply on the *client's* dialect
 /// (see [`wire::unsupported_version_reply`]), then the caller closes.
-fn version_reject(shared: &Shared, writer: &ConnWriter, got: u8) {
+fn version_reject(shared: &Shared, writer: &QueuedSink, got: u8) {
     let bytes = wire::unsupported_version_reply(got);
     if writer.send(&bytes) {
         shared.net.frames_out.fetch_add(1, Ordering::Relaxed);
@@ -736,65 +529,8 @@ fn error_reply(request_id: u64, code: ErrorCode, message: impl Into<String>) -> 
     }
 }
 
-fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(ConnWriter::Direct(Mutex::new(w))),
-        Err(_) => return,
-    };
-    let mut stream = stream;
-    let mut decoder = StreamDecoder::new();
-    let mut tmp = [0u8; 64 * 1024];
-    loop {
-        // Drain every complete frame currently buffered.
-        loop {
-            match decoder.next_frame() {
-                Ok(Some(frame)) => {
-                    if handle_frame(shared, &writer, frame).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(WireError::BadVersion { got }) => {
-                    // Version mismatch: answer on the client's dialect so
-                    // its old decoder sees a structured reject, then close.
-                    shared.net.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    version_reject(shared, &writer, got);
-                    return;
-                }
-                Err(e) => {
-                    // Protocol violation: tell the client why, then close.
-                    shared.net.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    reply(
-                        shared,
-                        &writer,
-                        error_reply(0, ErrorCode::Malformed, e.to_string()),
-                    );
-                    return;
-                }
-            }
-        }
-        match stream.read(&mut tmp) {
-            Ok(0) => return, // client closed cleanly
-            Ok(n) => decoder.extend(&tmp[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutting_down.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 /// Handles one decoded frame. `Err(())` closes the connection.
-fn handle_frame(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, frame: Frame) -> Result<(), ()> {
+fn handle_frame(shared: &Arc<Shared>, writer: &Arc<QueuedSink>, frame: Frame) -> Result<(), ()> {
     shared.net.frames_in.fetch_add(1, Ordering::Relaxed);
     match frame {
         Frame::LocateRequest(req) => {
@@ -824,8 +560,8 @@ fn handle_frame(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, frame: Frame) ->
             let deadline =
                 (req.deadline_us > 0).then(|| Duration::from_micros(req.deadline_us as u64));
             // Venue existence is checked at batch-resolution time, not
-            // admission: the reader path stays registry-free (no reader
-            // handle per connection), and an unknown venue answers
+            // admission: the event-loop path stays registry-free (no
+            // registry reader per connection), and an unknown venue answers
             // `UnknownVenue` from the batcher.
             let pending = Pending {
                 request_id,
@@ -838,7 +574,7 @@ fn handle_frame(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, frame: Frame) ->
             };
             match shared.dispatch.admit(
                 pending,
-                shared.shutting_down.load(Ordering::Acquire),
+                &shared.shutting_down,
                 &shared.dispatch_config,
                 &shared.stats,
             ) {
@@ -913,7 +649,7 @@ fn handle_frame(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, frame: Frame) ->
 }
 
 /// Encodes one non-locate frame into a pooled buffer and sends it.
-fn send_admin_frame(shared: &Shared, writer: &ConnWriter, frame: &Frame) {
+fn send_admin_frame(shared: &Shared, writer: &QueuedSink, frame: &Frame) {
     let (mut bytes, reused) = shared.pool.get();
     wire::encode_frame(frame, &mut bytes);
     shared.stats.record_reply_encode(bytes.len() as u64, reused);
@@ -928,7 +664,7 @@ fn send_admin_frame(shared: &Shared, writer: &ConnWriter, frame: &Frame) {
 /// structured error otherwise.
 fn send_admin_response(
     shared: &Shared,
-    writer: &ConnWriter,
+    writer: &QueuedSink,
     result: Result<(), (ErrorCode, String)>,
 ) {
     let outcome = match result {
@@ -947,7 +683,7 @@ fn send_admin_response(
 /// Every `Vec` here keeps its capacity across batches, so a long-lived
 /// batcher forms, solves, and answers micro-batches with zero steady-state
 /// allocation in the assembly layer (the per-request report payloads still
-/// arrive owned from the readers).
+/// arrive owned from the event loops).
 #[derive(Default)]
 struct BatcherScratch {
     /// The batch popped by `next_batch`.
@@ -974,9 +710,8 @@ fn batcher_loop(shared: &Arc<Shared>, idx: usize) {
         let kill = shared.config.kill_batcher_every;
         if kill > 1 && popped.is_multiple_of(kill) {
             // Simulated batcher death: requeue the batch at the front of
-            // its queue (its venue's FIFO, in its own shard, on the
-            // sharded plane) — no admitted request is lost — and exit the
-            // thread. The watchdog notices and respawns within one poll
+            // its venue's FIFO in its own shard — no admitted request is
+            // lost — and exit the thread. The watchdog notices and respawns within one poll
             // interval. (`kill == 1` would livelock every batcher, so it
             // is treated as disabled along with 0.)
             shared.dispatch.requeue_front(&mut scratch.batch);
@@ -1258,7 +993,7 @@ fn session_block(entry: &VenueEntry, view: &SessionView, widening: f64) -> WireS
     }
 }
 
-/// The reader-side `Predicted` intercept: a request whose payload failed
+/// The event-loop-side `Predicted` intercept: a request whose payload failed
 /// validation, but whose session is warm, is answered from the motion
 /// model instead of `Malformed`. Returns `None` (fall through to the
 /// error) for stateless requests and cold/expired sessions.
@@ -1274,7 +1009,7 @@ fn predicted_fallback(
     let view = shared
         .sessions
         .predict(venue_id, session_id, Instant::now())?;
-    // Snapshot peek only: the reader path must not touch the LRU clock
+    // Snapshot peek only: the event-loop path must not touch the LRU clock
     // or trigger a rebuild. An evicted venue just means no error bound.
     let entry = shared.registry.peek(venue_id);
     let session = match &entry {

@@ -1,8 +1,7 @@
-//! The event-driven socket backend: N event-loop threads own every
-//! connection through a [`Poller`](crate::poll::Poller), replacing the
-//! thread-per-connection reader model while feeding the *same* admission
-//! queue, batchers, and reply encoding — the serving contract is
-//! backend-invariant and the parameterized test suites pin it.
+//! The daemon's socket layer: N event-loop threads own every connection
+//! through a [`Poller`](crate::poll::Poller) and feed decoded requests to
+//! the dispatch plane; batchers hand replies back through each
+//! connection's [`QueuedSink`].
 //!
 //! Per loop: one waker (batchers nudge the loop when they queue reply
 //! bytes), one nonblocking clone of the listener (every loop accepts;
@@ -28,7 +27,7 @@
 //! "every admitted request is answered" holds on the wire, not just in
 //! the buffers.
 
-use super::{error_reply, handle_frame, reply, version_reject, ConnWriter, Shared, POLL_INTERVAL};
+use super::{error_reply, handle_frame, reply, version_reject, Shared, POLL_INTERVAL};
 use crate::poll::{Event, Interest, Poller, Waker};
 use crate::wire::{ErrorCode, StreamDecoder, WireError};
 use std::io::{self, Read, Write};
@@ -102,9 +101,9 @@ impl LoopShared {
     }
 }
 
-/// The bounded outbound buffer of one event-loop connection — the
-/// `Queued` arm of [`ConnWriter`]. Producers append whole encoded
-/// frames; only the owning loop writes to the socket.
+/// The bounded outbound buffer of one connection — the write half every
+/// reply goes through. Producers append whole encoded frames; only the
+/// owning loop writes to the socket.
 pub(super) struct QueuedSink {
     owner: Arc<LoopShared>,
     slot: usize,
@@ -134,8 +133,9 @@ impl OutBuf {
 }
 
 impl QueuedSink {
-    /// Appends reply bytes and wakes the loop. Returns `false` if the
-    /// connection is gone or just got evicted for overflowing its cap.
+    /// Appends one or more whole encoded frames and wakes the loop.
+    /// Returns `false` if the connection is gone or just got evicted for
+    /// overflowing its cap — the client's loss, like a failed write.
     pub(super) fn send(&self, bytes: &[u8]) -> bool {
         let queued = {
             let mut out = self.out.lock().unwrap();
@@ -177,7 +177,7 @@ impl QueuedSink {
 struct Conn {
     stream: TcpStream,
     decoder: StreamDecoder,
-    writer: Arc<ConnWriter>,
+    writer: Arc<QueuedSink>,
     /// A fatal reply (protocol error) is queued; close the socket as
     /// soon as the outbound buffer flushes.
     close_after_flush: bool,
@@ -231,10 +231,7 @@ impl Slab {
 
     fn any_pending(&self) -> bool {
         self.slots.iter().flatten().any(|conn| {
-            let ConnWriter::Queued(sink) = &*conn.writer else {
-                return false;
-            };
-            let out = sink.out.lock().unwrap();
+            let out = conn.writer.out.lock().unwrap();
             !out.closed && !out.evicted && out.pending() > 0
         })
     }
@@ -296,8 +293,7 @@ fn run_loop(
             listener_registered = false;
         }
         if poller.wait(&mut events, Some(POLL_INTERVAL)).is_err() {
-            // A failed wait would otherwise spin; pace it like the
-            // threaded backend paces accept errors.
+            // A failed wait would otherwise spin; pace it.
             std::thread::sleep(POLL_INTERVAL);
             continue;
         }
@@ -330,9 +326,7 @@ fn run_loop(
             // Re-arm the sink's dedup *before* flushing: a reply queued
             // mid-flush re-marks the slot instead of being stranded.
             if let Some(conn) = conns.get_mut(slot) {
-                if let ConnWriter::Queued(sink) = &*conn.writer {
-                    sink.dirty.store(false, Ordering::Release);
-                }
+                conn.writer.dirty.store(false, Ordering::Release);
             }
             flush_slot(shared, &poller, &mut conns, slot);
         }
@@ -360,13 +354,13 @@ fn accept_ready(
                 let cap = shared.config.write_buffer_cap.max(1);
                 let owner = Arc::clone(ls);
                 let slot = conns.insert_with(|slot| Conn {
-                    writer: Arc::new(ConnWriter::Queued(QueuedSink {
+                    writer: Arc::new(QueuedSink {
                         owner,
                         slot,
                         cap,
                         dirty: AtomicBool::new(false),
                         out: Mutex::new(OutBuf::default()),
-                    })),
+                    }),
                     stream,
                     decoder: StreamDecoder::new(),
                     close_after_flush: false,
@@ -440,8 +434,7 @@ fn handle_readable(
                                 break;
                             }
                             Err(e) => {
-                                // Protocol violation: same contract as the
-                                // threaded backend — explain, then close
+                                // Protocol violation: explain, then close
                                 // (once the explanation has flushed).
                                 shared.net.protocol_errors.fetch_add(1, Ordering::Relaxed);
                                 reply(
@@ -492,10 +485,7 @@ fn flush_slot(shared: &Arc<Shared>, poller: &Poller, conns: &mut Slab, slot: usi
         let Some(conn) = conns.get_mut(slot) else {
             return;
         };
-        let ConnWriter::Queued(sink) = &*conn.writer else {
-            return;
-        };
-        let mut out = sink.out.lock().unwrap();
+        let mut out = conn.writer.out.lock().unwrap();
         if out.evicted {
             (Flush::Evicted, conn.close_after_flush)
         } else {
@@ -568,9 +558,7 @@ fn close_slot(poller: &Poller, conns: &mut Slab, slot: usize) {
         return;
     };
     let _ = poller.deregister(conn.stream.as_raw_fd());
-    if let ConnWriter::Queued(sink) = &*conn.writer {
-        sink.mark_closed();
-    }
+    conn.writer.mark_closed();
     // Dropping `conn.stream` closes the fd (after deregistration, so the
     // slot can be reused without a stale kernel registration).
 }
@@ -594,5 +582,22 @@ fn flush_phase(shared: &Arc<Shared>, poller: &mut Poller, conns: &mut Slab, ls: 
     }
     for slot in conns.occupied() {
         close_slot(poller, conns, slot);
+    }
+}
+
+/// A sink attached to no loop (its waker is never drained), for
+/// dispatch-plane tests that need `Pending` requests but no socket.
+#[cfg(test)]
+pub(super) fn detached_sink() -> QueuedSink {
+    QueuedSink {
+        owner: Arc::new(LoopShared {
+            waker: Waker::new().expect("waker"),
+            dirty: Mutex::new(Vec::new()),
+            wake_pending: AtomicBool::new(false),
+        }),
+        slot: 0,
+        cap: usize::MAX,
+        dirty: AtomicBool::new(false),
+        out: Mutex::new(OutBuf::default()),
     }
 }

@@ -9,17 +9,16 @@
 //! * [`wire`]: a versioned, length-prefixed, CRC-protected binary frame
 //!   format with explicit encode/decode for CSI-report requests, location
 //!   estimates, per-request error codes, and a stats/health frame;
-//! * [`daemon`]: a std-only TCP daemon (no async runtime) with two
-//!   socket backends — a readiness-driven event loop (the default on
-//!   Unix: nonblocking connections on [`poll`]-based loop threads, with
-//!   bounded per-connection write buffers and slow-reader eviction) and
-//!   a thread-per-connection fallback — that coalesces requests *across
-//!   connections* into adaptive micro-batches feeding
-//!   `LocalizationServer::process_batch`, and applies admission control
+//! * [`daemon`] (Unix): a std-only TCP daemon (no async runtime) whose
+//!   readiness-driven event loops own nonblocking connections with
+//!   bounded per-connection write buffers and slow-reader eviction, and
+//!   feed a venue-affine sharded dispatch plane that coalesces requests
+//!   *across connections* into adaptive micro-batches for
+//!   `LocalizationServer::process_batch`, with admission control
 //!   (bounded queue → explicit `Overloaded` replies), per-request
 //!   deadlines, and graceful drain-on-shutdown;
 //! * [`poll`] (Unix): a minimal std-only readiness abstraction (epoll on
-//!   Linux, `poll(2)` elsewhere) backing the event-loop socket layer;
+//!   Linux, `poll(2)` elsewhere) backing the daemon's event loops;
 //! * [`loadgen`]: a pipelining multi-connection load generator reporting
 //!   throughput and exact p50/p95/p99 latency, with reconnect-and-resend
 //!   on transport failures (capped exponential backoff plus jitter);
@@ -45,7 +44,7 @@
 //! deterministic by construction — returns byte-identical estimates over
 //! the network and in process. The loopback integration test pins that.
 
-// `deny` instead of `forbid` for one reason: the event-loop backend's
+// `deny` instead of `forbid` for one reason: the daemon's event-loop
 // readiness layer needs four libc symbols std does not re-export. All
 // `unsafe` lives in the tiny `sys` module of `poll.rs` (explicitly
 // `allow`ed there); everything else in the crate still refuses it.
@@ -55,6 +54,7 @@
 pub mod admin;
 pub mod chaos;
 pub mod crc32;
+#[cfg(unix)]
 pub mod daemon;
 pub mod loadgen;
 #[cfg(unix)]
@@ -65,7 +65,8 @@ pub mod sessions;
 pub mod wire;
 
 pub use chaos::{ChaosConfig, ChaosReport, ChaosSummary};
-pub use daemon::{spawn, DaemonConfig, DaemonHandle, SocketBackend};
+#[cfg(unix)]
+pub use daemon::{spawn, DaemonConfig, DaemonHandle};
 pub use loadgen::{LoadgenConfig, LoadgenReport, VenuePicker};
 pub use pool::BufferPool;
 pub use registry::{RegistryReader, VenueRegistry};

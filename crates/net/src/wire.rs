@@ -690,7 +690,7 @@ pub struct ServerHealth {
     /// display only; not serialized.
     pub pool_misses: u64,
     /// Connections evicted because their bounded outbound write buffer
-    /// overflowed (a slow reader on the event-loop socket backend).
+    /// overflowed (a peer that stopped reading its replies).
     /// Daemon-local display only; not serialized.
     pub slow_readers_evicted: u64,
     /// Admissions that found their dispatch-shard lock held (sharded
@@ -704,8 +704,8 @@ pub struct ServerHealth {
     /// (sharded batching plane). Daemon-local display only; not
     /// serialized.
     pub shard_depth_peak: u64,
-    /// Dispatch shards the daemon was configured with (1 = the legacy
-    /// single-queue layout). Daemon-local display only; not serialized.
+    /// Shards of the daemon's dispatch plane. Daemon-local display only;
+    /// not serialized.
     pub queue_shards: u64,
     /// Per-venue serving counters, one record per onboarded venue
     /// (serialized after the scalar fields; new in v3).
@@ -1430,7 +1430,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
 ///
 /// Payload schemas are always the *current* version's, so this is only
 /// meaningful for version-stable frames ([`LocateResponse`],
-/// [`StatsRequest`]) — the negotiation tests use it to act as a v2-only
+/// [`Frame::StatsRequest`]) — the negotiation tests use it to act as a v2-only
 /// client verifying that a v3 daemon's [`unsupported_version_reply`]
 /// decodes cleanly on the old dialect.
 pub fn decode_frame_with_version(buf: &[u8], version: u8) -> Result<(Frame, usize), WireError> {

@@ -6,12 +6,6 @@
 //! All tests speak the real wire protocol against a real daemon on
 //! `127.0.0.1:0`, with the same seeded [`FaultPlan`] held by the client,
 //! the daemon, and the verifier.
-//!
-//! Every test is parameterized over **both socket backends** (the
-//! `backend_tests!` macro expands each into a `threaded` and an
-//! `event_loop` case; the hostile property tests run each case against a
-//! long-lived daemon per backend): the fault contract is a property of
-//! the serving tier, not of how sockets are pumped.
 
 use nomloc_core::localizability;
 use nomloc_core::scenario::Venue;
@@ -24,7 +18,7 @@ use nomloc_net::sessions::{session_tracker, PREDICTED_ERROR_WIDENING, SESSION_TI
 use nomloc_net::wire::{
     decode_frame, frame_to_vec, ErrorReply, LocateRequest, WireEstimate, WireReport, WireSnapshot,
 };
-use nomloc_net::{spawn, DaemonConfig, DaemonHandle, ErrorCode, Frame, SocketBackend};
+use nomloc_net::{spawn, DaemonConfig, DaemonHandle, ErrorCode, Frame};
 use nomloc_rfsim::{Environment, RadioConfig, SubcarrierGrid};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -34,41 +28,6 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-
-/// Expands each listed test body `fn name(backend: SocketBackend)` into a
-/// module with a `#[test]` per backend.
-macro_rules! backend_tests {
-    ($($name:ident),+ $(,)?) => {$(
-        mod $name {
-            use super::SocketBackend;
-
-            #[test]
-            fn threaded() {
-                super::$name(SocketBackend::Threaded);
-            }
-
-            #[test]
-            fn event_loop() {
-                super::$name(SocketBackend::EventLoop);
-            }
-        }
-    )+};
-}
-
-backend_tests!(
-    every_fault_class_upholds_its_contract,
-    mixed_chaos_run_answers_every_request,
-    killed_batchers_are_respawned_without_losing_requests,
-    pooled_reply_buffers_never_leak_stale_bytes,
-    chaos_runs_are_deterministic_in_the_seed,
-    warm_sessions_survive_payload_corruption,
-    rate_one_drop_readings_never_degrades_a_warm_session,
-    killed_connections_resume_their_session,
-    batcher_respawns_lose_no_sessions,
-    sessioned_chaos_crosses_no_wires,
-    single_queue_oracle_survives_the_fault_matrix,
-    sessioned_kills_are_bit_identical_across_queue_layouts,
-);
 
 fn lab_server() -> LocalizationServer {
     LocalizationServer::new(Venue::lab().plan.boundary().clone()).with_workers(1)
@@ -113,36 +72,13 @@ fn baseline(requests: &[Vec<CsiReport>]) -> Vec<Result<WireEstimate, ErrorReply>
         .collect()
 }
 
-fn spawn_daemon(
-    plan: Option<FaultPlan>,
-    kill_batcher_every: u64,
-    backend: SocketBackend,
-) -> DaemonHandle {
-    spawn_daemon_with_shards(
-        plan,
-        kill_batcher_every,
-        backend,
-        DaemonConfig::default().queue_shards,
-    )
-}
-
-/// [`spawn_daemon`] with an explicit dispatch layout: `queue_shards: 1`
-/// selects the legacy single-queue oracle, `> 1` the sharded plane.
-fn spawn_daemon_with_shards(
-    plan: Option<FaultPlan>,
-    kill_batcher_every: u64,
-    backend: SocketBackend,
-    queue_shards: usize,
-) -> DaemonHandle {
+fn spawn_daemon(plan: Option<FaultPlan>, kill_batcher_every: u64) -> DaemonHandle {
     spawn(
         lab_server(),
         DaemonConfig {
-            acceptors: 1,
             batchers: 2,
             fault_plan: plan,
             kill_batcher_every,
-            socket_backend: backend,
-            queue_shards,
             ..DaemonConfig::default()
         },
         "127.0.0.1:0",
@@ -169,13 +105,14 @@ fn single_class_plan(seed: u64, class: FaultClass) -> FaultPlan {
 
 /// Every fault class, injected at rate 1 so each request in the run hits
 /// it: the daemon must uphold that class's contract on all of them.
-fn every_fault_class_upholds_its_contract(backend: SocketBackend) {
+#[test]
+fn every_fault_class_upholds_its_contract() {
     const N: usize = 8;
     let requests = workload(N);
     let reference = baseline(&requests);
     for class in nomloc_faults::FAULT_CLASSES {
         let plan = single_class_plan(42, class);
-        let handle = spawn_daemon(Some(plan), 0, backend);
+        let handle = spawn_daemon(Some(plan), 0);
         let config = ChaosConfig::new(plan);
         let report = chaos::run(handle.local_addr(), &config, &requests)
             .unwrap_or_else(|e| panic!("chaos run failed under {class}: {e}"));
@@ -199,12 +136,13 @@ fn every_fault_class_upholds_its_contract(backend: SocketBackend) {
 /// A mixed-rate plan over a bigger run: every request is answered, the
 /// non-faulted majority bit-identically, and the summary accounts for
 /// every request.
-fn mixed_chaos_run_answers_every_request(backend: SocketBackend) {
+#[test]
+fn mixed_chaos_run_answers_every_request() {
     const N: usize = 64;
     let requests = workload(N);
     let reference = baseline(&requests);
     let plan = FaultPlan::uniform(7, 0.04);
-    let handle = spawn_daemon(Some(plan), 0, backend);
+    let handle = spawn_daemon(Some(plan), 0);
     let config = ChaosConfig::new(plan);
     let report = chaos::run(handle.local_addr(), &config, &requests).expect("chaos run completes");
     let health = handle.shutdown();
@@ -224,12 +162,13 @@ fn mixed_chaos_run_answers_every_request(backend: SocketBackend) {
 /// The kill knob murders batchers mid-run; the watchdog respawns every
 /// one of them, the dying batcher's requeued requests are still answered,
 /// and all replies stay bit-identical to the fault-free baseline.
-fn killed_batchers_are_respawned_without_losing_requests(backend: SocketBackend) {
+#[test]
+fn killed_batchers_are_respawned_without_losing_requests() {
     const N: usize = 24;
     let requests = workload(N);
     let reference = baseline(&requests);
     let plan = FaultPlan::disabled(3);
-    let handle = spawn_daemon(None, 3, backend);
+    let handle = spawn_daemon(None, 3);
     let config = ChaosConfig::new(plan);
     let report = chaos::run(handle.local_addr(), &config, &requests)
         .expect("every request answered despite batcher deaths");
@@ -249,18 +188,13 @@ fn killed_batchers_are_respawned_without_losing_requests(backend: SocketBackend)
 // numerically pathological — may crash the daemon or go unanswered.
 // ---------------------------------------------------------------------
 
-/// One long-lived daemon per backend, shared by all proptest cases and
-/// never shut down (the process exits at test end). Reusing one address
-/// also proves the daemon survived every previous hostile case.
-fn hostile_daemon_addr(backend: SocketBackend) -> SocketAddr {
-    static THREADED: OnceLock<SocketAddr> = OnceLock::new();
-    static EVENT_LOOP: OnceLock<SocketAddr> = OnceLock::new();
-    let slot = match backend {
-        SocketBackend::Threaded => &THREADED,
-        SocketBackend::EventLoop => &EVENT_LOOP,
-    };
-    *slot.get_or_init(|| {
-        let handle = spawn_daemon(None, 0, backend);
+/// One long-lived daemon, shared by all proptest cases and never shut
+/// down (the process exits at test end). Reusing one address also proves
+/// the daemon survived every previous hostile case.
+fn hostile_daemon_addr() -> SocketAddr {
+    static ADDR: OnceLock<SocketAddr> = OnceLock::new();
+    *ADDR.get_or_init(|| {
+        let handle = spawn_daemon(None, 0);
         let addr = handle.local_addr();
         std::mem::forget(handle);
         addr
@@ -359,35 +293,27 @@ proptest! {
 
     /// Raw-bit reports — NaN positions, descending offsets, the lot —
     /// always draw a reply (typically a typed `Malformed` error) and
-    /// never take the daemon down, on either socket backend.
+    /// never take the daemon down.
     #[test]
     fn hostile_raw_reports_are_always_answered(
         seeds in prop::collection::vec(0u64..u64::MAX, 0..4),
         subcarriers in 0usize..5,
     ) {
-        for backend in [SocketBackend::Threaded, SocketBackend::EventLoop] {
-            let addr = hostile_daemon_addr(backend);
-            let reports: Vec<_> =
-                seeds.iter().map(|&s| raw_report(s, subcarriers)).collect();
-            expect_reply(addr, reports)?;
-        }
+        let reports: Vec<_> = seeds.iter().map(|&s| raw_report(s, subcarriers)).collect();
+        expect_reply(hostile_daemon_addr(), reports)?;
     }
 
     /// Wire-valid reports with pathological channel coefficients reach
     /// the DSP and estimator stages; the daemon still answers every one
-    /// (degraded estimate or typed error) and never panics — on either
-    /// socket backend.
+    /// (degraded estimate or typed error) and never panics.
     #[test]
     fn hostile_but_wire_valid_reports_are_always_answered(
         seeds in prop::collection::vec(0u64..u64::MAX, 1..5),
         subcarriers in 1usize..6,
     ) {
-        for backend in [SocketBackend::Threaded, SocketBackend::EventLoop] {
-            let addr = hostile_daemon_addr(backend);
-            let reports: Vec<_> =
-                seeds.iter().map(|&s| shaped_hostile_report(s, subcarriers)).collect();
-            expect_reply(addr, reports)?;
-        }
+        let reports: Vec<_> =
+            seeds.iter().map(|&s| shaped_hostile_report(s, subcarriers)).collect();
+        expect_reply(hostile_daemon_addr(), reports)?;
     }
 }
 
@@ -399,7 +325,8 @@ proptest! {
 /// to the in-process baseline. The health counters prove buffer reuse
 /// actually happened, so a poisoning bug could not hide behind a
 /// fresh-allocation fallback.
-fn pooled_reply_buffers_never_leak_stale_bytes(backend: SocketBackend) {
+#[test]
+fn pooled_reply_buffers_never_leak_stale_bytes() {
     const N: usize = 24;
     let full = workload(N);
     // Vary the request shape so consecutive replies differ in size: a
@@ -411,7 +338,7 @@ fn pooled_reply_buffers_never_leak_stale_bytes(backend: SocketBackend) {
         .map(|(i, r)| r[..(i % r.len()) + 1].to_vec())
         .collect();
     let reference = baseline(&requests);
-    let handle = spawn_daemon(None, 0, backend);
+    let handle = spawn_daemon(None, 0);
     let config = nomloc_net::LoadgenConfig {
         connections: 1,
         ..Default::default()
@@ -460,12 +387,13 @@ fn sessioned_config(plan: FaultPlan, sessions: u64) -> ChaosConfig {
 /// reply must be `Predicted` at the (independently replayed) extrapolated
 /// position with the venue's localizability bound widened exactly
 /// [`PREDICTED_ERROR_WIDENING`]-fold.
-fn warm_sessions_survive_payload_corruption(backend: SocketBackend) {
+#[test]
+fn warm_sessions_survive_payload_corruption() {
     const N: usize = 12;
     const SESSIONS: u64 = 2;
     let requests = workload(N);
     let reference = baseline(&requests);
-    let handle = spawn_daemon(None, 0, backend);
+    let handle = spawn_daemon(None, 0);
     let addr = handle.local_addr();
 
     // Phase 1 — clean sessioned traffic; the standard verifier pins every
@@ -552,12 +480,13 @@ fn warm_sessions_survive_payload_corruption(backend: SocketBackend) {
 /// stateless — are promoted to `Predicted`. The verifier's replay checks
 /// each promotion exactly; nothing is ever *worse* than the stateless
 /// tier.
-fn rate_one_drop_readings_never_degrades_a_warm_session(backend: SocketBackend) {
+#[test]
+fn rate_one_drop_readings_never_degrades_a_warm_session() {
     const N: usize = 24;
     let requests = workload(N);
     let reference = baseline(&requests);
     let plan = single_class_plan(11, FaultClass::DropReadings);
-    let handle = spawn_daemon(Some(plan), 0, backend);
+    let handle = spawn_daemon(Some(plan), 0);
     let config = sessioned_config(plan, 2);
     let report = chaos::run(handle.local_addr(), &config, &requests).expect("chaos run completes");
     let health = handle.shutdown();
@@ -582,12 +511,13 @@ fn rate_one_drop_readings_never_degrades_a_warm_session(backend: SocketBackend) 
 /// reply and is resent on a fresh one — and every resend must resume the
 /// *same* session (the verifier replays each tracker straight through the
 /// kills; a session restarted or forked by the reconnect would diverge).
-fn killed_connections_resume_their_session(backend: SocketBackend) {
+#[test]
+fn killed_connections_resume_their_session() {
     const N: usize = 16;
     let requests = workload(N);
     let reference = baseline(&requests);
     let plan = single_class_plan(21, FaultClass::KillConnection);
-    let handle = spawn_daemon(None, 0, backend);
+    let handle = spawn_daemon(None, 0);
     let config = sessioned_config(plan, 2);
     let report = chaos::run(handle.local_addr(), &config, &requests).expect("chaos run completes");
     let health = handle.shutdown();
@@ -609,12 +539,13 @@ fn killed_connections_resume_their_session(backend: SocketBackend) {
 /// traffic flows: the watchdog respawns them and — because the session
 /// table lives outside the batchers — the verifier's uninterrupted replay
 /// still matches every reply. Zero sessions lost, zero state diverged.
-fn batcher_respawns_lose_no_sessions(backend: SocketBackend) {
+#[test]
+fn batcher_respawns_lose_no_sessions() {
     const N: usize = 24;
     let requests = workload(N);
     let reference = baseline(&requests);
     let plan = FaultPlan::disabled(3);
-    let handle = spawn_daemon(None, 3, backend);
+    let handle = spawn_daemon(None, 3);
     let config = sessioned_config(plan, 2);
     let report = chaos::run(handle.local_addr(), &config, &requests)
         .expect("every request answered despite batcher deaths");
@@ -639,12 +570,13 @@ fn batcher_respawns_lose_no_sessions(backend: SocketBackend) {
 /// every reply — proving no fault class ever returns another session's
 /// position (a cross-wired answer cannot match its own session's replay)
 /// and that forced expiry degrades cleanly instead of corrupting.
-fn sessioned_chaos_crosses_no_wires(backend: SocketBackend) {
+#[test]
+fn sessioned_chaos_crosses_no_wires() {
     const N: usize = 64;
     let requests = workload(N);
     let reference = baseline(&requests);
     let plan = FaultPlan::uniform(7, 0.04);
-    let handle = spawn_daemon(Some(plan), 0, backend);
+    let handle = spawn_daemon(Some(plan), 0);
     let mut config = sessioned_config(plan, 3);
     config.session_table = Some(handle.sessions());
     let report = chaos::run(handle.local_addr(), &config, &requests).expect("chaos run completes");
@@ -672,12 +604,13 @@ fn sessioned_chaos_crosses_no_wires(backend: SocketBackend) {
 /// Same seed ⇒ the same requests are faulted the same way and every reply
 /// is identical across two independent daemon instances — the property
 /// that makes chaos failures reproducible from a seed alone.
-fn chaos_runs_are_deterministic_in_the_seed(backend: SocketBackend) {
+#[test]
+fn chaos_runs_are_deterministic_in_the_seed() {
     const N: usize = 32;
     let requests = workload(N);
     let plan = FaultPlan::uniform(99, 0.05);
     let run = || {
-        let handle = spawn_daemon(Some(plan), 0, backend);
+        let handle = spawn_daemon(Some(plan), 0);
         let report = chaos::run(handle.local_addr(), &ChaosConfig::new(plan), &requests)
             .expect("chaos run completes");
         handle.shutdown();
@@ -695,84 +628,6 @@ fn chaos_runs_are_deterministic_in_the_seed(backend: SocketBackend) {
             }
             (Err(p), Err(q)) => assert_eq!(p.code, q.code, "request {i} error diverged"),
             (p, q) => panic!("request {i}: {p:?} vs {q:?}"),
-        }
-    }
-}
-
-/// The single-queue oracle (`queue_shards: 1`) survives the full fault
-/// matrix with exactly the contract the sharded plane upholds: every
-/// class's rate-1 run verifies, and the kill knob loses nothing. Keeping
-/// the legacy layout green under chaos is what makes it a trustworthy
-/// A/B reference for the sharded plane.
-fn single_queue_oracle_survives_the_fault_matrix(backend: SocketBackend) {
-    const N: usize = 8;
-    let requests = workload(N);
-    let reference = baseline(&requests);
-    for class in nomloc_faults::FAULT_CLASSES {
-        let plan = single_class_plan(42, class);
-        let handle = spawn_daemon_with_shards(Some(plan), 0, backend, 1);
-        let config = ChaosConfig::new(plan);
-        let report = chaos::run(handle.local_addr(), &config, &requests)
-            .unwrap_or_else(|e| panic!("oracle chaos run failed under {class}: {e}"));
-        let health = handle.shutdown();
-        let summary = report
-            .verify(&config, &reference)
-            .unwrap_or_else(|v| panic!("oracle contract violated under {class}: {v:?}"));
-        assert_eq!(summary.total, N);
-        assert_eq!(summary.faulted, N, "rate-1 plan must fault everything");
-        assert_eq!(health.queue_shards, 1, "oracle layout selected");
-        assert_eq!(health.queue_steals, 0, "single queue cannot steal");
-    }
-
-    // The kill knob on the oracle: requeue-at-front on the legacy queue
-    // still answers every request bit-identically.
-    let handle = spawn_daemon_with_shards(None, 3, backend, 1);
-    let config = ChaosConfig::new(FaultPlan::disabled(3));
-    let report = chaos::run(handle.local_addr(), &config, &requests)
-        .expect("every request answered despite batcher deaths");
-    let health = handle.shutdown();
-    let summary = report
-        .verify(&config, &reference)
-        .unwrap_or_else(|v| panic!("oracle kill knob broke replies: {v:?}"));
-    assert_eq!(summary.bit_identical, N, "all replies bit-identical");
-    assert!(health.batchers_respawned > 0, "kill knob never fired");
-}
-
-/// A sessioned run under the batcher kill knob produces **bit-identical
-/// replies on both queue layouts**: a killed batcher requeues its batch
-/// at the front of the batch venue's own shard, so replay order — and
-/// therefore every session-smoothed coordinate — matches the single
-/// queue's requeue-at-front exactly. A lost, duplicated, or reordered
-/// requeue would diverge the session state and fail the comparison.
-fn sessioned_kills_are_bit_identical_across_queue_layouts(backend: SocketBackend) {
-    const N: usize = 24;
-    let requests = workload(N);
-    let reference = baseline(&requests);
-    let run = |queue_shards: usize| {
-        let handle = spawn_daemon_with_shards(None, 3, backend, queue_shards);
-        let config = sessioned_config(FaultPlan::disabled(3), 2);
-        let report = chaos::run(handle.local_addr(), &config, &requests)
-            .expect("every sessioned request answered despite batcher deaths");
-        let health = handle.shutdown();
-        let summary = report
-            .verify(&config, &reference)
-            .unwrap_or_else(|v| panic!("sessioned kill run diverged from replay: {v:?}"));
-        assert_eq!(summary.bit_identical + summary.predicted, N);
-        assert!(health.batchers_respawned > 0, "kill knob never fired");
-        assert_eq!(health.sessions_created, 2, "no session lost or forked");
-        report
-    };
-    let sharded = run(DaemonConfig::default().queue_shards);
-    let oracle = run(1);
-    for (i, (s, o)) in sharded.outcomes.iter().zip(&oracle.outcomes).enumerate() {
-        match (&s.reply, &o.reply) {
-            (Ok(p), Ok(q)) => {
-                assert_eq!(p.x.to_bits(), q.x.to_bits(), "request {i} x diverged");
-                assert_eq!(p.y.to_bits(), q.y.to_bits(), "request {i} y diverged");
-                assert_eq!(p.quality, q.quality, "request {i} quality diverged");
-            }
-            (Err(p), Err(q)) => assert_eq!(p.code, q.code, "request {i} error diverged"),
-            (p, q) => panic!("request {i} differs across layouts: {p:?} vs {q:?}"),
         }
     }
 }

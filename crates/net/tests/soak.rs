@@ -1,11 +1,11 @@
-//! Idle-connection soak: the event-loop backend holds thousands of
+//! Idle-connection soak: the daemon's event loops hold thousands of
 //! mostly-idle connections with bounded per-connection memory and no
 //! measurable impact on the active traffic sharing the loops.
 //!
-//! This is the scaling claim that motivated the transplant: a nomadic-AP
+//! This is the scaling claim the socket layer is built for: a nomadic-AP
 //! deployment keeps one long-lived connection per AP, and almost all of
-//! them are quiet at any instant. Thread-per-connection burns a stack
-//! per idle socket; the event loop pays one registered fd. The full-size
+//! them are quiet at any instant. The event loop pays one registered fd
+//! per idle socket, not a thread. The full-size
 //! 10k run (fd limits want a daemon in its own process) lives in the
 //! serving benchmark; this in-process test pins the same properties at
 //! 2 000 connections so regressions fail `cargo test`, not just a bench.
@@ -19,7 +19,7 @@
 use nomloc_core::scenario::Venue;
 use nomloc_core::server::CsiReport;
 use nomloc_core::{ApSite, LocalizationServer};
-use nomloc_net::{loadgen, spawn, DaemonConfig, LoadgenConfig, SocketBackend};
+use nomloc_net::{loadgen, spawn, DaemonConfig, LoadgenConfig};
 use std::time::Duration;
 
 const IDLE_CONNS: usize = 2_000;
@@ -58,7 +58,6 @@ fn thousands_of_idle_connections_are_cheap_and_harmless() {
     let handle = spawn(
         lab_server(),
         DaemonConfig {
-            socket_backend: SocketBackend::EventLoop,
             event_loops: 2,
             ..DaemonConfig::default()
         },

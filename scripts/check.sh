@@ -11,6 +11,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> rustdoc: cargo doc -D warnings (no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> benches compile: cargo bench --no-run"
 cargo bench --workspace --no-run --offline
 
@@ -28,12 +31,8 @@ echo "==> loopback serving smoke test (daemon + loadgen over 127.0.0.1)"
 cargo test -q --offline --test net_loopback
 
 echo "==> chaos smoke: fault-injected serving contract over 127.0.0.1"
-echo "    (event-loop socket backend — the default)"
 cargo run --release -p nomloc-cli --bin nomloc --offline -- \
-  chaos --seed 7 --requests 200 --socket-backend event-loop
-echo "    (thread-per-connection fallback backend, same seed)"
-cargo run --release -p nomloc-cli --bin nomloc --offline -- \
-  chaos --seed 7 --requests 200 --socket-backend threaded
+  chaos --seed 7 --requests 200
 
 echo "==> session chaos smoke: 1% faults over 3 interleaved sessions"
 # The per-session replay inside the verifier is a cross-wire detector:
@@ -48,7 +47,7 @@ fi
 
 echo "==> event-loop loopback smoke: loadgen with an idle crowd"
 cargo run --release -p nomloc-cli --bin nomloc --offline -- \
-  loadgen --requests 200 --socket-backend event-loop --idle-connections 500
+  loadgen --requests 200 --idle-connections 500
 
 echo "==> multi-venue smoke: 8 venues over the admin plane, zipf traffic"
 mv_out="$(cargo run --release -p nomloc-cli --bin nomloc --offline -- \
@@ -130,36 +129,24 @@ fi
 
 echo "==> dispatch regression guard (quick run vs committed BENCH_serving.json)"
 # The 100-venue entry is the last element of the "dispatch" array: the
-# contended regime where the sharded plane must beat the single-queue
-# oracle. Two gates: absolute (sharded must stay ahead of the oracle by a
-# real margin) and relative (sharded ns/request must not regress vs the
-# committed baseline, same discipline as the PDP stage guard).
+# contended regime. Sharded ns/request must not regress vs the committed
+# baseline, same discipline as the PDP stage guard.
 committed_disp="$(git show HEAD:BENCH_serving.json 2>/dev/null |
   sed -n 's/.*"sharded_ns_per_request"[[:space:]]*:[[:space:]]*\([0-9.]*\).*/\1/p' |
   tail -1)"
 new_disp="$(sed -n 's/.*"sharded_ns_per_request"[[:space:]]*:[[:space:]]*\([0-9.]*\).*/\1/p' \
   BENCH_serving.json | tail -1)"
-new_improvement="$(sed -n 's/.*"improvement_pct"[[:space:]]*:[[:space:]]*\(-\{0,1\}[0-9.]*\).*/\1/p' \
-  BENCH_serving.json | tail -1)"
-if [[ -z "$new_disp" || -z "$new_improvement" ]]; then
+if [[ -z "$new_disp" ]]; then
   echo "error: dispatch section missing from fresh BENCH_serving.json" >&2
   exit 1
 fi
-awk -v imp="$new_improvement" 'BEGIN {
-  printf "    dispatch improvement at 100 venues: %+.1f%% (floor +10%%)\n", imp
-  exit (imp < 10.0) ? 1 : 0
-}' || {
-  echo "error: sharded dispatch no longer beats the single-queue oracle by >=10%" >&2
-  exit 1
-}
 if [[ -z "$committed_disp" ]]; then
   echo "    no committed dispatch baseline (new section?) — skipping relative gate"
 else
   # Wider margin than the PDP stage guard: the contended-dispatch regime
   # (deep backlog, 8 connections racing 2 batchers) is inherently noisier
-  # per quick-mode run than an in-process microbench. The +10% improvement
-  # floor above is the load-bearing gate; this one only catches gross
-  # regressions of the sharded plane itself.
+  # per quick-mode run than an in-process microbench, so this only
+  # catches gross regressions of the dispatch plane.
   awk -v new="$new_disp" -v old="$committed_disp" 'BEGIN {
     limit = old * 1.5
     printf "    sharded_ns_per_request: %.1f (committed %.1f, limit %.1f)\n", new, old, limit
