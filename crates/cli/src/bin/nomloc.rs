@@ -3,90 +3,44 @@
 
 use nomloc_cli::{
     parse, run_campaign, run_chaos, run_loadgen, run_map, run_serve, run_venue_admin, run_venues,
-    start_daemon, Command, USAGE,
+    start_daemon, usage, Command, ServeSpec,
 };
 use std::process::ExitCode;
 use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args) {
-        Ok(Command::Help) => {
-            print!("{USAGE}");
+    let result = match parse(&args) {
+        Ok(Command::Help) => Ok(usage()),
+        Ok(Command::Venues) => Ok(run_venues()),
+        Ok(Command::Campaign(spec)) => Ok(run_campaign(&spec)),
+        Ok(Command::Map(spec)) => Ok(run_map(&spec)),
+        Ok(Command::Serve(spec)) if spec.listen.is_some() => serve_daemon(&spec),
+        Ok(Command::Serve(spec)) => Ok(run_serve(&spec)),
+        Ok(Command::Loadgen(spec)) => run_loadgen(&spec),
+        Ok(Command::VenueAdmin(spec)) => run_venue_admin(&spec),
+        Ok(Command::Chaos(spec)) => run_chaos(&spec),
+        Err(e) => Err(format!("{e}\nrun `nomloc help` for usage")),
+    };
+    match result {
+        Ok(out) => {
+            print!("{out}");
             ExitCode::SUCCESS
         }
-        Ok(Command::Venues) => {
-            print!("{}", run_venues());
-            ExitCode::SUCCESS
-        }
-        Ok(Command::Campaign(spec)) => {
-            print!("{}", run_campaign(&spec));
-            ExitCode::SUCCESS
-        }
-        Ok(Command::Map(spec)) => {
-            print!("{}", run_map(&spec));
-            ExitCode::SUCCESS
-        }
-        Ok(Command::Serve(spec)) if spec.listen.is_some() => match start_daemon(&spec) {
-            Ok(handle) => {
-                println!("nomloc-net daemon listening on {}", handle.local_addr());
-                // Serve until the response budget is spent (--max-requests),
-                // or forever when the budget is 0; the drain-time health
-                // summary prints either way if we do exit.
-                loop {
-                    std::thread::sleep(Duration::from_millis(50));
-                    if spec.max_requests > 0 && handle.responses_sent() >= spec.max_requests as u64
-                    {
-                        break;
-                    }
-                }
-                let health = handle.shutdown();
-                print!("{health}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Ok(Command::Serve(spec)) => {
-            print!("{}", run_serve(&spec));
-            ExitCode::SUCCESS
-        }
-        Ok(Command::Loadgen(spec)) => match run_loadgen(&spec) {
-            Ok(report) => {
-                print!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Ok(Command::VenueAdmin(spec)) => match run_venue_admin(&spec) {
-            Ok(listing) => {
-                print!("{listing}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Ok(Command::Chaos(spec)) => match run_chaos(&spec) {
-            Ok(report) => {
-                print!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("run `nomloc help` for usage");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Runs the daemon until the response budget is spent (`--max-requests`),
+/// or forever when the budget is 0; returns the drain-time health summary.
+fn serve_daemon(spec: &ServeSpec) -> Result<String, String> {
+    let handle = start_daemon(spec)?;
+    println!("nomloc-net daemon listening on {}", handle.local_addr());
+    while spec.max_requests == 0 || handle.responses_sent() < spec.max_requests as u64 {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    Ok(handle.shutdown().to_string())
 }

@@ -9,9 +9,13 @@
 //! nomloc venues
 //! ```
 //!
-//! Argument parsing is hand-rolled (the workspace stays dependency-light);
-//! the parsing layer lives here so it can be unit-tested, while
-//! `src/bin/nomloc.rs` only dispatches.
+//! Each subcommand declares its flags once, in a table of `Flag` entries
+//! (name, value placeholder, help line, setter into the subcommand's spec).
+//! One loop parses any table and [`usage`] renders the help text from the
+//! same tables. Daemon and load-generator tuning is written straight into
+//! the embedded [`nomloc_net::DaemonConfig`] / [`nomloc_net::LoadgenConfig`],
+//! so their defaults come from the library alone. The parsing layer lives
+//! here so it can be unit-tested, while `src/bin/nomloc.rs` only dispatches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +29,9 @@ use nomloc_faults::FaultPlan;
 use nomloc_geometry::Point;
 use nomloc_lp::center::CenterMethod;
 use nomloc_net::wire::{ErrorReply, WireEstimate, WireVenue};
+use nomloc_net::{DaemonConfig, LoadgenConfig};
 use std::fmt;
+use std::time::Duration;
 
 // The synthetic workload lives in `nomloc_core::scenario` (one builder
 // shared with the bench bins and the loopback tests); re-exported here so
@@ -106,7 +112,7 @@ pub struct MapSpec {
     pub venue: VenueName,
     /// Include the nomadic AP's sites in the deployment.
     pub nomadic: bool,
-    /// Grid pitch, metres.
+    /// Grid pitch, metres (at least 0.01 when parsed).
     pub pitch: f64,
 }
 
@@ -119,6 +125,11 @@ impl Default for MapSpec {
         }
     }
 }
+
+/// Smallest `map --pitch` accepted, metres. The grid walk steps by the
+/// pitch, so a pitch below a coordinate's ulp would never advance; at this
+/// pitch the mall map still finishes in under a minute.
+const MIN_PITCH: f64 = 0.01;
 
 /// Parameters of a `serve` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,24 +146,14 @@ pub struct ServeSpec {
     pub seed: u64,
     /// Daemon mode: the address to listen on (e.g. `127.0.0.1:4455`).
     pub listen: Option<String>,
-    /// Daemon: flush a micro-batch at this many requests.
-    pub max_batch: usize,
-    /// Daemon: …or this many microseconds after its first request.
-    pub max_wait_us: u64,
-    /// Daemon: admission-queue capacity (`Overloaded` beyond it).
-    pub queue_cap: usize,
-    /// Daemon: batcher threads forming micro-batches.
-    pub batchers: usize,
     /// Daemon: exit after this many responses (0 = run until killed).
     pub max_requests: usize,
-    /// Daemon: event-loop threads.
-    pub event_loops: usize,
     /// Daemon: fleet venues pre-onboarded at startup (ids `1..=N`,
     /// rotating scaled floor plans from `fleet_venue`).
     pub venues: usize,
-    /// Daemon: venue-cache memory budget in bytes (0 = unlimited); cold
-    /// venues beyond it are LRU-evicted and rebuilt on next request.
-    pub venue_budget: usize,
+    /// Daemon tuning: `--max-batch`, `--max-wait-us`, `--queue-cap`,
+    /// `--batchers`, `--event-loops` and `--venue-budget` write here.
+    pub daemon: DaemonConfig,
 }
 
 impl Default for ServeSpec {
@@ -164,14 +165,9 @@ impl Default for ServeSpec {
             workers: 0,
             seed: 2014,
             listen: None,
-            max_batch: 32,
-            max_wait_us: 500,
-            queue_cap: 1024,
-            batchers: 2,
             max_requests: 0,
-            event_loops: 2,
             venues: 0,
-            venue_budget: 0,
+            daemon: DaemonConfig::default(),
         }
     }
 }
@@ -183,16 +179,12 @@ pub struct LoadgenSpec {
     pub venue: VenueName,
     /// Daemon address to connect to; `None` spawns a loopback daemon.
     pub connect: Option<String>,
-    /// Parallel TCP connections.
-    pub connections: usize,
     /// Total requests across all connections.
     pub requests: usize,
     /// Probe packets per AP per request.
     pub packets: usize,
-    /// RNG seed for the synthetic CSI workload.
+    /// RNG seed for the synthetic CSI workload (and the venue skew).
     pub seed: u64,
-    /// Per-request deadline, µs (0 = none).
-    pub deadline_us: u32,
     /// Loopback daemon: worker threads (`0` = one per available CPU).
     pub workers: usize,
     /// Report the daemon's reply-buffer reuse counters (bytes encoded /
@@ -200,25 +192,14 @@ pub struct LoadgenSpec {
     /// only — the counters never travel on the wire, so with `--connect`
     /// this prints a pointer at the daemon's own stats output instead.
     pub payload_reuse: bool,
-    /// Extra connections opened and held idle for the whole run —
-    /// exercises the event loops' mostly-idle scaling.
-    pub idle_connections: usize,
     /// Fleet venues onboarded over the admin plane before driving (ids
     /// `1..=N`); traffic is then spread zipf-over-venues across ids
     /// `0..=N` (0 = the daemon's resident venue). 0 = single-venue run.
     pub venues: usize,
-    /// Zipf exponent `s` for the over-venues traffic skew (1.0 ≈ classic
-    /// web-style popularity; 0.0 = uniform). Only used with `--venues`.
-    pub zipf: f64,
-    /// Sessioned traffic: each connection drives one long-lived session
-    /// (carried across reconnects); the report adds the per-session
-    /// smoothed-vs-raw deviation.
-    pub sessions: bool,
-    /// Closed-loop worker count (`0` = open-loop pipelined). `N > 0`
-    /// drives N synchronous send-one-wait-one workers, each on its own
-    /// connection, and reports aggregate RPS plus the worst per-worker
-    /// p99 — the contended-dispatch view. Overrides `--connections`.
-    pub concurrency: usize,
+    /// Client shape: `--connections`, `--deadline-us`,
+    /// `--idle-connections`, `--zipf`, `--sessions` and `--concurrency`
+    /// write here; the venue list and skew seed are filled in at run time.
+    pub loadgen: LoadgenConfig,
 }
 
 impl Default for LoadgenSpec {
@@ -226,18 +207,13 @@ impl Default for LoadgenSpec {
         LoadgenSpec {
             venue: VenueName::Lab,
             connect: None,
-            connections: 4,
             requests: 1000,
             packets: 4,
             seed: 2014,
-            deadline_us: 0,
             workers: 0,
             payload_reuse: false,
-            idle_connections: 0,
             venues: 0,
-            zipf: 1.0,
-            sessions: false,
-            concurrency: 0,
+            loadgen: LoadgenConfig::default(),
         }
     }
 }
@@ -258,13 +234,15 @@ pub struct ChaosSpec {
     pub rate: f64,
     /// Loopback daemon: worker threads (`0` = one per available CPU).
     pub workers: usize,
-    /// Kill a batcher thread after every Nth batch (0 = never), proving
-    /// the watchdog respawns them without losing requests.
-    pub kill_every: usize,
     /// Concurrent sessions the chaos run interleaves (0 = stateless).
     /// With N ≥ 2 the verifier's per-session tracker replay doubles as a
     /// cross-wire detector, and the plan's stale-session fault is armed.
     pub sessions: u64,
+    /// Loopback daemon configuration; `--kill-every` writes
+    /// [`DaemonConfig::kill_batcher_every`], proving the watchdog respawns
+    /// killed batchers without losing requests. The fault plan is added
+    /// at run time.
+    pub daemon: DaemonConfig,
 }
 
 impl Default for ChaosSpec {
@@ -276,8 +254,8 @@ impl Default for ChaosSpec {
             seed: 2014,
             rate: 0.03,
             workers: 0,
-            kill_every: 0,
             sessions: 0,
+            daemon: DaemonConfig::default(),
         }
     }
 }
@@ -378,162 +356,53 @@ fn err(msg: impl Into<String>) -> ParseError {
     ParseError(msg.into())
 }
 
-/// Usage text printed by `nomloc help`.
-pub const USAGE: &str = "\
-nomloc — calibration-free indoor localization with nomadic access points
+/// One command-line flag of a subcommand whose spec type is `S`.
+struct Flag<S> {
+    /// The flag as typed, e.g. `--packets`.
+    name: &'static str,
+    /// Placeholder for its value in the help text; `""` marks a switch,
+    /// which takes no value.
+    value: &'static str,
+    /// Help line; a `(default X)` in it must name the spec's default.
+    help: &'static str,
+    /// Applies the value (`""` for a switch) to the spec.
+    set: fn(&mut S, &str) -> Result<(), ParseError>,
+}
 
-USAGE:
-    nomloc campaign [OPTIONS]     run a measurement campaign
-    nomloc map [OPTIONS]          print a localizability heat map
-    nomloc serve [OPTIONS]        serve a synthetic request batch + stats
-                                  (with --listen ADDR: run the TCP daemon)
-    nomloc loadgen [OPTIONS]      drive a daemon with concurrent clients
-    nomloc chaos [OPTIONS]        fault-inject a loopback daemon and verify
-                                  the graceful-degradation contract
-    nomloc venue ACTION [OPTIONS] administer a daemon's venue registry
-                                  (ACTION: onboard | retire | list)
-    nomloc venues                 list built-in venues
-    nomloc help                   show this message
-
-CAMPAIGN OPTIONS:
-    --venue lab|lobby|mall        venue (default lab)
-    --deployment static|nomadic[:STEPS]|fleet:N
-                                  AP deployment (default nomadic:8)
-    --packets N                   probe packets per AP site (default 60)
-    --trials N                    trials per test site (default 8)
-    --er METERS                   nomadic position error range (default 0)
-    --seed N                      RNG seed (default 2014)
-    --center chebyshev|analytic|centroid
-                                  feasible-region center (default chebyshev)
-    --window rect|hann|hamming|blackman
-                                  PDP spectral window (default rect)
-    --antennas N                  receive antennas per AP (default 1)
-    --carrier                     model the nomadic carrier's body
-
-MAP OPTIONS:
-    --venue lab|lobby|mall        venue (default lab)
-    --nomadic                     include the nomadic AP's sites
-    --pitch METERS                grid pitch (default 0.5)
-
-SERVE OPTIONS:
-    --venue lab|lobby|mall        venue (default lab)
-    --requests N                  requests in the batch (default 40)
-    --packets N                   probe packets per AP per request (default 20)
-    --workers N                   worker threads, 0 = all CPUs (default 0)
-    --seed N                      workload RNG seed (default 2014)
-    --listen ADDR                 run the nomloc-net daemon on ADDR
-                                  (e.g. 127.0.0.1:4455; port 0 = ephemeral)
-    --max-batch N                 daemon: micro-batch size cap (default 32)
-    --max-wait-us N               daemon: micro-batch max wait (default 500)
-    --queue-cap N                 daemon: admission queue cap (default 1024)
-    --batchers N                  daemon: batcher threads (default 2)
-    --max-requests N              daemon: exit after N responses (default 0
-                                  = run until killed)
-    --event-loops N               daemon: event-loop threads (default 2)
-    --venues N                    daemon: pre-onboard N fleet venues
-                                  (ids 1..=N; default 0)
-    --venue-budget BYTES          daemon: venue-cache memory budget; cold
-                                  venues beyond it are LRU-evicted and
-                                  rebuilt on next request (default 0
-                                  = unlimited)
-
-LOADGEN OPTIONS:
-    --connect ADDR                daemon to drive (default: spawn a loopback
-                                  daemon in-process on 127.0.0.1:0)
-    --venue lab|lobby|mall        workload venue (default lab)
-    --connections N               parallel connections (default 4)
-    --requests N                  total requests (default 1000)
-    --packets N                   probe packets per AP per request (default 4)
-    --seed N                      workload RNG seed (default 2014)
-    --deadline-us N               per-request deadline, 0 = none (default 0)
-    --workers N                   loopback daemon worker threads (default 0)
-    --payload-reuse               report reply-buffer reuse: bytes encoded,
-                                  bytes into pooled buffers, pool hit-rate
-                                  (daemon-local counters; loopback only)
-    --idle-connections N          extra connections opened and held idle
-                                  for the whole run (default 0)
-    --venues N                    onboard N fleet venues over the admin
-                                  plane, then spread traffic zipf-over-
-                                  venues across ids 0..=N (default 0
-                                  = single-venue)
-    --zipf S                      zipf exponent for the venue skew
-                                  (default 1.0; 0 = uniform)
-    --sessions                    sessioned traffic: one long-lived session
-                                  per connection (survives reconnects);
-                                  reports per-session smoothing deviation
-    --concurrency N               closed loop: N synchronous workers, one
-                                  connection each, send-one-wait-one;
-                                  reports aggregate RPS + worst per-worker
-                                  p99 (default 0 = open-loop pipelined;
-                                  overrides --connections)
-
-CHAOS OPTIONS:
-    --venue lab|lobby|mall        workload venue (default lab)
-    --requests N                  requests driven (default 200)
-    --packets N                   probe packets per AP per request (default 4)
-    --seed N                      workload + fault-plan seed (default 2014)
-    --rate R                      per-fault-class rate in [0, 0.125]
-                                  (default 0.03; 8 classes ≈ 24 % faulted)
-    --kill-every N                kill a batcher after every Nth batch,
-                                  0 = never (default 0; watchdog respawns)
-    --workers N                   loopback daemon worker threads (default 0)
-    --sessions N                  interleave N concurrent sessions, verified
-                                  by per-session tracker replay (cross-wire
-                                  detection; arms the stale-session fault;
-                                  default 0 = stateless)
-
-VENUE OPTIONS:
-    --connect ADDR                daemon to administer (required)
-    --id N                        venue id, N ≥ 1 (onboard/retire; venue 0
-                                  is the resident venue)
-    --venue lab|lobby|mall        onboard: use this built-in venue verbatim
-                                  (default: the id-keyed fleet rotation of
-                                  scaled lab/lobby/mall plans)
-";
-
-/// Parses a full argument list (excluding the program name).
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] with a user-facing message on unknown
-/// commands, flags, or malformed values.
-pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("venues") => Ok(Command::Venues),
-        Some("campaign") => parse_campaign(it.as_slice()).map(Command::Campaign),
-        Some("map") => parse_map(it.as_slice()).map(Command::Map),
-        Some("serve") => parse_serve(it.as_slice()).map(Command::Serve),
-        Some("loadgen") => parse_loadgen(it.as_slice()).map(Command::Loadgen),
-        Some("chaos") => parse_chaos(it.as_slice()).map(Command::Chaos),
-        Some("venue") => parse_venue_admin(it.as_slice()).map(Command::VenueAdmin),
-        Some(other) => Err(err(format!("unknown command `{other}`; try `nomloc help`"))),
+const fn flag<S>(
+    name: &'static str,
+    value: &'static str,
+    help: &'static str,
+    set: fn(&mut S, &str) -> Result<(), ParseError>,
+) -> Flag<S> {
+    Flag {
+        name,
+        value,
+        help,
+        set,
     }
 }
 
-fn take_value<'a>(
-    flag: &str,
-    it: &mut std::slice::Iter<'a, String>,
-) -> Result<&'a str, ParseError> {
-    it.next()
-        .map(String::as_str)
-        .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
+/// Parses an unsigned integer of any width.
+fn uint<T: std::str::FromStr>(v: &str) -> Result<T, ParseError> {
+    v.parse()
+        .map_err(|_| err(format!("`{v}` is not a non-negative integer")))
 }
 
-fn parse_usize(flag: &str, v: &str) -> Result<usize, ParseError> {
-    v.parse().map_err(|_| {
-        err(format!(
-            "flag `{flag}`: `{v}` is not a non-negative integer"
-        ))
-    })
+/// Parses a sizing knob, for which zero is nonsense.
+fn positive(v: &str) -> Result<usize, ParseError> {
+    match uint(v)? {
+        0 => Err(err("must be positive")),
+        n => Ok(n),
+    }
 }
 
-fn parse_f64(flag: &str, v: &str) -> Result<f64, ParseError> {
+/// Parses a finite non-negative number.
+fn number(v: &str) -> Result<f64, ParseError> {
     v.parse::<f64>()
         .ok()
         .filter(|x| x.is_finite() && *x >= 0.0)
-        .ok_or_else(|| err(format!("flag `{flag}`: `{v}` is not a non-negative number")))
+        .ok_or_else(|| err(format!("`{v}` is not a non-negative number")))
 }
 
 fn parse_venue(v: &str) -> Result<VenueName, ParseError> {
@@ -554,254 +423,334 @@ fn parse_deployment(v: &str) -> Result<DeploymentSpec, ParseError> {
     }
     if let Some(steps) = v.strip_prefix("nomadic:") {
         return Ok(DeploymentSpec::Nomadic {
-            steps: parse_usize("--deployment", steps)?,
+            steps: uint(steps)?,
         });
     }
     if let Some(n) = v.strip_prefix("fleet:") {
-        return Ok(DeploymentSpec::Fleet {
-            nomads: parse_usize("--deployment", n)?,
-        });
+        return Ok(DeploymentSpec::Fleet { nomads: uint(n)? });
     }
     Err(err(format!(
         "unknown deployment `{v}` (static|nomadic[:STEPS]|fleet:N)"
     )))
 }
 
-fn parse_campaign(args: &[String]) -> Result<CampaignSpec, ParseError> {
-    let mut spec = CampaignSpec::default();
+fn parse_center(v: &str) -> Result<CenterMethod, ParseError> {
+    match v {
+        "chebyshev" => Ok(CenterMethod::Chebyshev),
+        "analytic" => Ok(CenterMethod::Analytic),
+        "centroid" => Ok(CenterMethod::Centroid),
+        _ => Err(err(format!(
+            "unknown center `{v}` (chebyshev|analytic|centroid)"
+        ))),
+    }
+}
+
+fn parse_window(v: &str) -> Result<Window, ParseError> {
+    match v {
+        "rect" | "rectangular" => Ok(Window::Rectangular),
+        "hann" => Ok(Window::Hann),
+        "hamming" => Ok(Window::Hamming),
+        "blackman" => Ok(Window::Blackman),
+        _ => Err(err(format!(
+            "unknown window `{v}` (rect|hann|hamming|blackman)"
+        ))),
+    }
+}
+
+// The flag tables are laid out by hand so each reads as a table (rustfmt
+// would spread every entry over six lines): name, placeholder and help
+// first, the setter on the next line.
+#[rustfmt::skip]
+const CAMPAIGN_FLAGS: &[Flag<CampaignSpec>] = &[
+    flag("--venue", "lab|lobby|mall", "venue (default lab)",
+        |s, v| parse_venue(v).map(|x| s.venue = x)),
+    flag("--deployment", "static|nomadic[:STEPS]|fleet:N", "AP deployment (default nomadic:8)",
+        |s, v| parse_deployment(v).map(|x| s.deployment = x)),
+    flag("--packets", "N", "probe packets per AP site (default 60)",
+        |s, v| uint(v).map(|x| s.packets = x)),
+    flag("--trials", "N", "trials per test site (default 8)",
+        |s, v| uint(v).map(|x| s.trials = x)),
+    flag("--er", "METERS", "nomadic position error range (default 0)",
+        |s, v| number(v).map(|x| s.er = x)),
+    flag("--seed", "N", "RNG seed (default 2014)",
+        |s, v| uint(v).map(|x| s.seed = x)),
+    flag("--center", "chebyshev|analytic|centroid", "feasible-region center (default chebyshev)",
+        |s, v| parse_center(v).map(|x| s.center = x)),
+    flag("--window", "rect|hann|hamming|blackman", "PDP spectral window (default rect)",
+        |s, v| parse_window(v).map(|x| s.window = x)),
+    flag("--antennas", "N", "receive antennas per AP (default 1)",
+        |s, v| uint(v).map(|x| s.antennas = x)),
+    flag("--carrier", "", "model the nomadic carrier's body",
+        |s, _| { s.carrier = true; Ok(()) }),
+];
+
+#[rustfmt::skip]
+const MAP_FLAGS: &[Flag<MapSpec>] = &[
+    flag("--venue", "lab|lobby|mall", "venue (default lab)",
+        |s, v| parse_venue(v).map(|x| s.venue = x)),
+    flag("--nomadic", "", "include the nomadic AP's sites",
+        |s, _| { s.nomadic = true; Ok(()) }),
+    flag("--pitch", "METERS", "grid pitch, at least 0.01 (default 0.5)",
+        |s, v| match number(v)? {
+            p if p < MIN_PITCH => Err(err(format!("must be at least {MIN_PITCH} m"))),
+            p => { s.pitch = p; Ok(()) }
+        }),
+];
+
+#[rustfmt::skip]
+const SERVE_FLAGS: &[Flag<ServeSpec>] = &[
+    flag("--venue", "lab|lobby|mall", "venue (default lab)",
+        |s, v| parse_venue(v).map(|x| s.venue = x)),
+    flag("--requests", "N", "requests in the batch (default 40)",
+        |s, v| uint(v).map(|x| s.requests = x)),
+    flag("--packets", "N", "probe packets per AP per request (default 20)",
+        |s, v| uint(v).map(|x| s.packets = x)),
+    flag("--workers", "N", "worker threads, 0 = all CPUs (default 0)",
+        |s, v| uint(v).map(|x| s.workers = x)),
+    flag("--seed", "N", "workload RNG seed (default 2014)",
+        |s, v| uint(v).map(|x| s.seed = x)),
+    flag("--listen", "ADDR",
+        "run the nomloc-net daemon on ADDR (e.g. 127.0.0.1:4455; port 0 = ephemeral)",
+        |s, v| { s.listen = Some(v.to_string()); Ok(()) }),
+    flag("--max-batch", "N", "daemon: micro-batch size cap (default 32)",
+        |s, v| positive(v).map(|x| s.daemon.max_batch = x)),
+    flag("--max-wait-us", "N", "daemon: micro-batch max wait (default 500)",
+        |s, v| uint(v).map(|x| s.daemon.max_wait = Duration::from_micros(x))),
+    flag("--queue-cap", "N", "daemon: admission queue cap (default 1024)",
+        |s, v| positive(v).map(|x| s.daemon.queue_capacity = x)),
+    flag("--batchers", "N", "daemon: batcher threads (default 2)",
+        |s, v| positive(v).map(|x| s.daemon.batchers = x)),
+    flag("--max-requests", "N", "daemon: exit after N responses (default 0 = run until killed)",
+        |s, v| uint(v).map(|x| s.max_requests = x)),
+    flag("--event-loops", "N", "daemon: event-loop threads (default 2)",
+        |s, v| positive(v).map(|x| s.daemon.event_loops = x)),
+    flag("--venues", "N", "daemon: pre-onboard N fleet venues, ids 1..=N (default 0)",
+        |s, v| uint(v).map(|x| s.venues = x)),
+    flag("--venue-budget", "BYTES", "daemon: venue-cache memory budget; cold venues beyond \
+        it are LRU-evicted and rebuilt on next request (default 0 = unlimited)",
+        |s, v| uint(v).map(|x| s.daemon.venue_budget_bytes = x)),
+];
+
+#[rustfmt::skip]
+const LOADGEN_FLAGS: &[Flag<LoadgenSpec>] = &[
+    flag("--connect", "ADDR",
+        "daemon to drive (default: spawn a loopback daemon in-process on 127.0.0.1:0)",
+        |s, v| { s.connect = Some(v.to_string()); Ok(()) }),
+    flag("--venue", "lab|lobby|mall", "workload venue (default lab)",
+        |s, v| parse_venue(v).map(|x| s.venue = x)),
+    flag("--connections", "N", "parallel connections (default 4)",
+        |s, v| positive(v).map(|x| s.loadgen.connections = x)),
+    flag("--requests", "N", "total requests (default 1000)",
+        |s, v| uint(v).map(|x| s.requests = x)),
+    flag("--packets", "N", "probe packets per AP per request (default 4)",
+        |s, v| uint(v).map(|x| s.packets = x)),
+    flag("--seed", "N", "workload RNG seed (default 2014)",
+        |s, v| uint(v).map(|x| s.seed = x)),
+    flag("--deadline-us", "N", "per-request deadline, 0 = none (default 0)",
+        |s, v| uint(v).map(|x| s.loadgen.deadline_us = x)),
+    flag("--workers", "N", "loopback daemon worker threads (default 0)",
+        |s, v| uint(v).map(|x| s.workers = x)),
+    flag("--payload-reuse", "", "report reply-buffer reuse: bytes encoded, bytes into pooled \
+        buffers, pool hit-rate (daemon-local counters; loopback only)",
+        |s, _| { s.payload_reuse = true; Ok(()) }),
+    flag("--idle-connections", "N",
+        "extra connections opened and held idle for the whole run (default 0)",
+        |s, v| uint(v).map(|x| s.loadgen.idle_connections = x)),
+    flag("--venues", "N", "onboard N fleet venues over the admin plane, then spread traffic \
+        zipf-over-venues across ids 0..=N (default 0 = single-venue)",
+        |s, v| uint(v).map(|x| s.venues = x)),
+    flag("--zipf", "S", "zipf exponent for the venue skew (default 1.0; 0 = uniform)",
+        |s, v| number(v).map(|x| s.loadgen.zipf_s = x)),
+    flag("--sessions", "", "sessioned traffic: one long-lived session per connection \
+        (survives reconnects); reports per-session smoothing deviation",
+        |s, _| { s.loadgen.sessions = true; Ok(()) }),
+    flag("--concurrency", "N", "closed loop: N synchronous workers, one connection each, \
+        send-one-wait-one; reports aggregate RPS + worst per-worker p99 (default 0 = \
+        open-loop pipelined; overrides --connections)",
+        |s, v| uint(v).map(|x| s.loadgen.concurrency = x)),
+];
+
+#[rustfmt::skip]
+const CHAOS_FLAGS: &[Flag<ChaosSpec>] = &[
+    flag("--venue", "lab|lobby|mall", "workload venue (default lab)",
+        |s, v| parse_venue(v).map(|x| s.venue = x)),
+    flag("--requests", "N", "requests driven (default 200)",
+        |s, v| uint(v).map(|x| s.requests = x)),
+    flag("--packets", "N", "probe packets per AP per request (default 4)",
+        |s, v| uint(v).map(|x| s.packets = x)),
+    flag("--seed", "N", "workload + fault-plan seed (default 2014)",
+        |s, v| uint(v).map(|x| s.seed = x)),
+    flag("--rate", "R",
+        "per-fault-class rate in [0, 0.125] (default 0.03; 8 classes ≈ 24 % faulted)",
+        |s, v| match number(v)? {
+            r if r > 0.125 => Err(err("per-class rate above 1/8 would exceed probability 1")),
+            r => { s.rate = r; Ok(()) }
+        }),
+    flag("--kill-every", "N",
+        "kill a batcher after every Nth batch, 0 = never (default 0; watchdog respawns)",
+        |s, v| uint(v).map(|x| s.daemon.kill_batcher_every = x)),
+    flag("--workers", "N", "loopback daemon worker threads (default 0)",
+        |s, v| uint(v).map(|x| s.workers = x)),
+    flag("--sessions", "N", "interleave N concurrent sessions, verified by per-session \
+        tracker replay, which detects cross-wired replies and arms the stale-session fault \
+        (default 0 = stateless)",
+        |s, v| uint(v).map(|x| s.sessions = x)),
+];
+
+#[rustfmt::skip]
+const VENUE_FLAGS: &[Flag<VenueAdminSpec>] = &[
+    flag("--connect", "ADDR", "daemon to administer (required)",
+        |s, v| { s.connect = v.to_string(); Ok(()) }),
+    flag("--id", "N", "venue id, N ≥ 1 (onboard/retire; venue 0 is the resident venue)",
+        |s, v| uint(v).map(|x| s.id = x)),
+    flag("--venue", "lab|lobby|mall", "onboard: use this built-in venue verbatim (default: \
+        the id-keyed fleet rotation of scaled lab/lobby/mall plans)",
+        |s, v| parse_venue(v).map(|x| s.venue = Some(x))),
+];
+
+/// Applies `args` to `spec` through the subcommand's flag table.
+fn parse_flags<S>(
+    cmd: &str,
+    flags: &[Flag<S>],
+    mut spec: S,
+    args: &[String],
+) -> Result<S, ParseError> {
     let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--venue" => spec.venue = parse_venue(take_value(flag, &mut it)?)?,
-            "--deployment" => spec.deployment = parse_deployment(take_value(flag, &mut it)?)?,
-            "--packets" => spec.packets = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--trials" => spec.trials = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--er" => spec.er = parse_f64(flag, take_value(flag, &mut it)?)?,
-            "--seed" => {
-                spec.seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("flag `--seed`: not an integer"))?
-            }
-            "--center" => {
-                spec.center = match take_value(flag, &mut it)? {
-                    "chebyshev" => CenterMethod::Chebyshev,
-                    "analytic" => CenterMethod::Analytic,
-                    "centroid" => CenterMethod::Centroid,
-                    other => {
-                        return Err(err(format!(
-                            "unknown center `{other}` (chebyshev|analytic|centroid)"
-                        )))
-                    }
-                }
-            }
-            "--window" => {
-                spec.window = match take_value(flag, &mut it)? {
-                    "rect" | "rectangular" => Window::Rectangular,
-                    "hann" => Window::Hann,
-                    "hamming" => Window::Hamming,
-                    "blackman" => Window::Blackman,
-                    other => {
-                        return Err(err(format!(
-                            "unknown window `{other}` (rect|hann|hamming|blackman)"
-                        )))
-                    }
-                }
-            }
-            "--antennas" => spec.antennas = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--carrier" => spec.carrier = true,
-            other => return Err(err(format!("unknown campaign flag `{other}`"))),
-        }
+    while let Some(arg) = it.next() {
+        let flag = flags
+            .iter()
+            .find(|f| f.name == arg)
+            .ok_or_else(|| err(format!("unknown {cmd} flag `{arg}`")))?;
+        let value = if flag.value.is_empty() {
+            ""
+        } else {
+            it.next()
+                .ok_or_else(|| err(format!("flag `{arg}` needs a value")))?
+        };
+        (flag.set)(&mut spec, value).map_err(|e| err(format!("flag `{arg}`: {e}")))?;
     }
     Ok(spec)
 }
 
-fn parse_map(args: &[String]) -> Result<MapSpec, ParseError> {
-    let mut spec = MapSpec::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--venue" => spec.venue = parse_venue(take_value(flag, &mut it)?)?,
-            "--nomadic" => spec.nomadic = true,
-            "--pitch" => {
-                spec.pitch = parse_f64(flag, take_value(flag, &mut it)?)?;
-                if spec.pitch <= 0.0 {
-                    return Err(err("flag `--pitch`: must be positive"));
-                }
-            }
-            other => return Err(err(format!("unknown map flag `{other}`"))),
-        }
-    }
-    Ok(spec)
-}
-
-fn parse_serve(args: &[String]) -> Result<ServeSpec, ParseError> {
-    let mut spec = ServeSpec::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--venue" => spec.venue = parse_venue(take_value(flag, &mut it)?)?,
-            "--requests" => spec.requests = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--packets" => spec.packets = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--workers" => spec.workers = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--seed" => {
-                spec.seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("flag `--seed`: not an integer"))?
-            }
-            "--listen" => spec.listen = Some(take_value(flag, &mut it)?.to_string()),
-            "--max-batch" => {
-                spec.max_batch = parse_usize(flag, take_value(flag, &mut it)?)?;
-                if spec.max_batch == 0 {
-                    return Err(err("flag `--max-batch`: must be positive"));
-                }
-            }
-            "--max-wait-us" => {
-                spec.max_wait_us = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("flag `--max-wait-us`: not an integer"))?
-            }
-            "--queue-cap" => {
-                spec.queue_cap = parse_usize(flag, take_value(flag, &mut it)?)?;
-                if spec.queue_cap == 0 {
-                    return Err(err("flag `--queue-cap`: must be positive"));
-                }
-            }
-            "--batchers" => {
-                spec.batchers = parse_usize(flag, take_value(flag, &mut it)?)?;
-                if spec.batchers == 0 {
-                    return Err(err("flag `--batchers`: must be positive"));
-                }
-            }
-            "--max-requests" => spec.max_requests = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--event-loops" => {
-                spec.event_loops = parse_usize(flag, take_value(flag, &mut it)?)?;
-                if spec.event_loops == 0 {
-                    return Err(err("flag `--event-loops`: must be positive"));
-                }
-            }
-            "--venues" => spec.venues = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--venue-budget" => spec.venue_budget = parse_usize(flag, take_value(flag, &mut it)?)?,
-            other => return Err(err(format!("unknown serve flag `{other}`"))),
-        }
-    }
-    Ok(spec)
-}
-
-fn parse_loadgen(args: &[String]) -> Result<LoadgenSpec, ParseError> {
-    let mut spec = LoadgenSpec::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--connect" => spec.connect = Some(take_value(flag, &mut it)?.to_string()),
-            "--venue" => spec.venue = parse_venue(take_value(flag, &mut it)?)?,
-            "--connections" => {
-                spec.connections = parse_usize(flag, take_value(flag, &mut it)?)?;
-                if spec.connections == 0 {
-                    return Err(err("flag `--connections`: must be positive"));
-                }
-            }
-            "--requests" => spec.requests = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--packets" => spec.packets = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--seed" => {
-                spec.seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("flag `--seed`: not an integer"))?
-            }
-            "--deadline-us" => {
-                spec.deadline_us = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("flag `--deadline-us`: not an integer"))?
-            }
-            "--workers" => spec.workers = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--payload-reuse" => spec.payload_reuse = true,
-            "--idle-connections" => {
-                spec.idle_connections = parse_usize(flag, take_value(flag, &mut it)?)?
-            }
-            "--venues" => spec.venues = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--zipf" => spec.zipf = parse_f64(flag, take_value(flag, &mut it)?)?,
-            "--sessions" => spec.sessions = true,
-            "--concurrency" => spec.concurrency = parse_usize(flag, take_value(flag, &mut it)?)?,
-            other => return Err(err(format!("unknown loadgen flag `{other}`"))),
-        }
-    }
-    Ok(spec)
-}
-
-fn parse_chaos(args: &[String]) -> Result<ChaosSpec, ParseError> {
-    let mut spec = ChaosSpec::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--venue" => spec.venue = parse_venue(take_value(flag, &mut it)?)?,
-            "--requests" => spec.requests = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--packets" => spec.packets = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--seed" => {
-                spec.seed = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("flag `--seed`: not an integer"))?
-            }
-            "--rate" => {
-                spec.rate = parse_f64(flag, take_value(flag, &mut it)?)?;
-                if spec.rate > 0.125 {
-                    return Err(err(
-                        "flag `--rate`: per-class rate above 1/8 would exceed probability 1",
-                    ));
-                }
-            }
-            "--kill-every" => spec.kill_every = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--workers" => spec.workers = parse_usize(flag, take_value(flag, &mut it)?)?,
-            "--sessions" => {
-                spec.sessions = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("flag `--sessions`: not an integer"))?
-            }
-            other => return Err(err(format!("unknown chaos flag `{other}`"))),
-        }
-    }
-    Ok(spec)
-}
-
-fn parse_venue_admin(args: &[String]) -> Result<VenueAdminSpec, ParseError> {
-    let mut it = args.iter();
-    let action = match it.next().map(String::as_str) {
-        Some("onboard") => VenueAction::Onboard,
-        Some("retire") => VenueAction::Retire,
-        Some("list") => VenueAction::List,
-        Some(other) => {
-            return Err(err(format!(
-                "unknown venue action `{other}` (onboard|retire|list)"
-            )))
-        }
-        None => return Err(err("venue: needs an action (onboard|retire|list)")),
+/// Parses a full argument list (excluding the program name).
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] with a user-facing message on unknown
+/// commands, flags, or malformed values.
+pub fn parse(args: &[String]) -> Result<Command, ParseError> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Ok(Command::Help);
     };
-    let mut spec = VenueAdminSpec {
-        action,
-        connect: String::new(),
-        id: 0,
-        venue: None,
-    };
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--connect" => spec.connect = take_value(flag, &mut it)?.to_string(),
-            "--id" => {
-                spec.id = take_value(flag, &mut it)?
-                    .parse()
-                    .map_err(|_| err("flag `--id`: not an integer"))?
+    let cmd = cmd.as_str();
+    match cmd {
+        "help" | "--help" | "-h" => Ok(Command::Help),
+        "venues" => Ok(Command::Venues),
+        "campaign" => {
+            parse_flags(cmd, CAMPAIGN_FLAGS, CampaignSpec::default(), rest).map(Command::Campaign)
+        }
+        "map" => parse_flags(cmd, MAP_FLAGS, MapSpec::default(), rest).map(Command::Map),
+        "serve" => parse_flags(cmd, SERVE_FLAGS, ServeSpec::default(), rest).map(Command::Serve),
+        "loadgen" => {
+            parse_flags(cmd, LOADGEN_FLAGS, LoadgenSpec::default(), rest).map(Command::Loadgen)
+        }
+        "chaos" => parse_flags(cmd, CHAOS_FLAGS, ChaosSpec::default(), rest).map(Command::Chaos),
+        "venue" => {
+            let action = match rest.first().map(String::as_str) {
+                Some("onboard") => VenueAction::Onboard,
+                Some("retire") => VenueAction::Retire,
+                Some("list") => VenueAction::List,
+                Some(other) => {
+                    return Err(err(format!(
+                        "unknown venue action `{other}` (onboard|retire|list)"
+                    )))
+                }
+                None => return Err(err("venue: needs an action (onboard|retire|list)")),
+            };
+            let spec = VenueAdminSpec {
+                action,
+                connect: String::new(),
+                id: 0,
+                venue: None,
+            };
+            let spec = parse_flags(cmd, VENUE_FLAGS, spec, &rest[1..])?;
+            if spec.connect.is_empty() {
+                return Err(err("venue: needs --connect ADDR"));
             }
-            "--venue" => spec.venue = Some(parse_venue(take_value(flag, &mut it)?)?),
-            other => return Err(err(format!("unknown venue flag `{other}`"))),
+            if spec.action != VenueAction::List && spec.id == 0 {
+                return Err(err(
+                    "venue onboard/retire: needs --id N with N ≥ 1 (venue 0 is the \
+                     daemon's resident venue and cannot be administered)",
+                ));
+            }
+            Ok(Command::VenueAdmin(spec))
+        }
+        other => Err(err(format!("unknown command `{other}`; try `nomloc help`"))),
+    }
+}
+
+/// Help lines start at this column; flag and placeholder fill the left.
+const HELP_COLUMN: usize = 34;
+/// Help lines wrap at this many characters.
+const HELP_WIDTH: usize = 45;
+
+/// Appends one `OPTIONS` section, rendered from a flag table.
+fn render_flags<S>(out: &mut String, title: &str, flags: &[Flag<S>]) {
+    out.push_str(&format!("\n{title} OPTIONS:\n"));
+    for f in flags {
+        let mut lines: Vec<String> = Vec::new();
+        for word in f.help.split_whitespace() {
+            match lines.last_mut() {
+                Some(line) if line.chars().count() + 1 + word.chars().count() <= HELP_WIDTH => {
+                    line.push(' ');
+                    line.push_str(word);
+                }
+                _ => lines.push(word.to_string()),
+            }
+        }
+        let head = format!("    {} {}", f.name, f.value);
+        let mut left = head.trim_end();
+        // A head too wide for its column gets a line of its own.
+        if left.chars().count() >= HELP_COLUMN {
+            out.push_str(left);
+            out.push('\n');
+            left = "";
+        }
+        for line in &lines {
+            out.push_str(&format!("{left:<HELP_COLUMN$}{line}\n"));
+            left = "";
         }
     }
-    if spec.connect.is_empty() {
-        return Err(err("venue: needs --connect ADDR"));
-    }
-    if spec.action != VenueAction::List && spec.id == 0 {
-        return Err(err(
-            "venue onboard/retire: needs --id N with N ≥ 1 (venue 0 is the \
-             daemon's resident venue and cannot be administered)",
-        ));
-    }
-    Ok(spec)
+}
+
+/// Usage text printed by `nomloc help`, with every subcommand's options
+/// rendered from its flag table.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "\
+nomloc — calibration-free indoor localization with nomadic access points
+
+USAGE:
+    nomloc campaign [OPTIONS]     run a measurement campaign
+    nomloc map [OPTIONS]          print a localizability heat map
+    nomloc serve [OPTIONS]        serve a synthetic request batch + stats
+                                  (with --listen ADDR: run the TCP daemon)
+    nomloc loadgen [OPTIONS]      drive a daemon with concurrent clients
+    nomloc chaos [OPTIONS]        fault-inject a loopback daemon and verify
+                                  the graceful-degradation contract
+    nomloc venue ACTION [OPTIONS] administer a daemon's venue registry
+                                  (ACTION: onboard | retire | list)
+    nomloc venues                 list built-in venues
+    nomloc help                   show this message
+",
+    );
+    render_flags(&mut out, "CAMPAIGN", CAMPAIGN_FLAGS);
+    render_flags(&mut out, "MAP", MAP_FLAGS);
+    render_flags(&mut out, "SERVE", SERVE_FLAGS);
+    render_flags(&mut out, "LOADGEN", LOADGEN_FLAGS);
+    render_flags(&mut out, "CHAOS", CHAOS_FLAGS);
+    render_flags(&mut out, "VENUE", VENUE_FLAGS);
+    out
 }
 
 /// Runs a campaign per spec and renders its report to a string.
@@ -907,14 +856,17 @@ pub fn run_map(spec: &MapSpec) -> String {
     out
 }
 
-/// Builds the `LocalizationServer` a `serve` invocation (either mode)
-/// localizes with.
-fn serve_server(spec: &ServeSpec, venue: &Venue) -> LocalizationServer {
-    let mut server = LocalizationServer::new(venue.plan.boundary().clone());
-    if spec.workers > 0 {
-        server = server.with_workers(spec.workers);
+/// Builds the `LocalizationServer` for `venue` with `workers` threads
+/// (`0` = one per available CPU). `serve` and `chaos` both localize with it;
+/// chaos builds two, so its in-process baseline and its daemon are
+/// identical and bit-identity between them is meaningful.
+fn server_for(venue: &Venue, workers: usize) -> LocalizationServer {
+    let server = LocalizationServer::new(venue.plan.boundary().clone());
+    if workers > 0 {
+        server.with_workers(workers)
+    } else {
+        server
     }
-    server
 }
 
 /// Serves a synthetic batch of localization requests (one per venue test
@@ -922,7 +874,7 @@ fn serve_server(spec: &ServeSpec, venue: &Venue) -> LocalizationServer {
 /// renders the outcome plus the pipeline-stats snapshot.
 pub fn run_serve(spec: &ServeSpec) -> String {
     let venue = spec.venue.venue();
-    let server = serve_server(spec, &venue);
+    let server = server_for(&venue, spec.workers);
     let aps = venue.static_deployment();
     let (truths, batch) = synthetic_workload(&venue, spec.requests, spec.packets, spec.seed);
 
@@ -989,17 +941,8 @@ pub fn start_daemon(spec: &ServeSpec) -> Result<nomloc_net::DaemonHandle, String
         .as_deref()
         .ok_or("serve: daemon mode needs --listen ADDR")?;
     let venue = spec.venue.venue();
-    let server = serve_server(spec, &venue);
-    let config = nomloc_net::DaemonConfig {
-        batchers: spec.batchers,
-        max_batch: spec.max_batch,
-        max_wait: std::time::Duration::from_micros(spec.max_wait_us),
-        queue_capacity: spec.queue_cap,
-        event_loops: spec.event_loops,
-        venue_budget_bytes: spec.venue_budget,
-        ..nomloc_net::DaemonConfig::default()
-    };
-    let handle = nomloc_net::spawn(server, config, addr)
+    let server = server_for(&venue, spec.workers);
+    let handle = nomloc_net::spawn(server, spec.daemon.clone(), addr)
         .map_err(|e| format!("serve: cannot listen on `{addr}`: {e}"))?;
     // Pre-onboard the fleet in-process (same registry path the admin
     // plane takes, minus the socket) so the daemon is live-venue-complete
@@ -1052,20 +995,14 @@ pub fn run_loadgen(spec: &LoadgenSpec) -> Result<String, String> {
             .map_err(|e| format!("loadgen: onboarding venue {id}: {e}"))?;
     }
 
-    let config = nomloc_net::LoadgenConfig {
-        connections: spec.connections,
-        deadline_us: spec.deadline_us,
-        idle_connections: spec.idle_connections,
+    let config = LoadgenConfig {
         venues: if spec.venues > 0 {
             (0..=spec.venues as u64).collect()
         } else {
             Vec::new()
         },
-        zipf_s: spec.zipf,
         zipf_seed: spec.seed,
-        sessions: spec.sessions,
-        concurrency: spec.concurrency,
-        ..nomloc_net::LoadgenConfig::default()
+        ..spec.loadgen.clone()
     };
     let report =
         nomloc_net::loadgen::run(addr, &config, &batch).map_err(|e| format!("loadgen: {e}"))?;
@@ -1077,7 +1014,7 @@ pub fn run_loadgen(spec: &LoadgenSpec) -> Result<String, String> {
     if spec.venues > 0 {
         out.push_str(&format!(
             "venues: zipf(s={}) over {} live venues (resident + {} fleet)\n",
-            spec.zipf,
+            config.zipf_s,
             spec.venues + 1,
             spec.venues
         ));
@@ -1121,17 +1058,6 @@ pub fn run_loadgen(spec: &LoadgenSpec) -> Result<String, String> {
     Ok(out)
 }
 
-/// Builds the `LocalizationServer` a `chaos` invocation uses — one for
-/// the in-process baseline and an identical one inside the daemon, so
-/// bit-identity between the two is meaningful.
-fn chaos_server(spec: &ChaosSpec, venue: &Venue) -> LocalizationServer {
-    let mut server = LocalizationServer::new(venue.plan.boundary().clone());
-    if spec.workers > 0 {
-        server = server.with_workers(spec.workers);
-    }
-    server
-}
-
 /// Runs a chaos campaign: spawns a loopback daemon carrying the fault
 /// plan, replays the synthetic workload through client-side fault
 /// injection, and verifies every reply against the per-fault-class
@@ -1148,7 +1074,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> Result<String, String> {
     let plan = FaultPlan::uniform(spec.seed, spec.rate);
     plan.validate().map_err(|e| format!("chaos: {e}"))?;
 
-    let baseline_server = chaos_server(spec, &venue);
+    let baseline_server = server_for(&venue, spec.workers);
     let baseline: Vec<Result<WireEstimate, ErrorReply>> = batch
         .iter()
         .map(|reports| match baseline_server.process(reports) {
@@ -1160,12 +1086,11 @@ pub fn run_chaos(spec: &ChaosSpec) -> Result<String, String> {
         })
         .collect();
 
-    let config = nomloc_net::DaemonConfig {
+    let config = DaemonConfig {
         fault_plan: Some(plan),
-        kill_batcher_every: spec.kill_every as u64,
-        ..nomloc_net::DaemonConfig::default()
+        ..spec.daemon.clone()
     };
-    let handle = nomloc_net::spawn(chaos_server(spec, &venue), config, "127.0.0.1:0")
+    let handle = nomloc_net::spawn(server_for(&venue, spec.workers), config, "127.0.0.1:0")
         .map_err(|e| format!("chaos: cannot bind loopback daemon: {e}"))?;
     let mut chaos_config = nomloc_net::ChaosConfig::new(plan);
     chaos_config.sessions = spec.sessions;
@@ -1350,7 +1275,10 @@ mod tests {
         assert!(parse(&args("campaign --venue attic")).is_err());
         assert!(parse(&args("campaign --center middle")).is_err());
         assert!(parse(&args("campaign --window kaiser")).is_err());
-        assert!(parse(&args("campaign --packets")).is_err(), "missing value");
+        assert_eq!(
+            parse(&args("campaign --packets")).unwrap_err().to_string(),
+            "flag `--packets` needs a value"
+        );
         assert!(parse(&args("campaign --bogus 1")).is_err());
     }
 
@@ -1367,6 +1295,90 @@ mod tests {
         );
         assert!(parse(&args("map --pitch 0")).is_err());
         assert!(parse(&args("map --bogus")).is_err());
+        // The grid walk steps `x += pitch`; below x's ulp it never ends,
+        // so pitches under a centimetre are refused at parse time.
+        for pitch in ["1e-300", "0.009"] {
+            let e = parse(&args(&format!("map --pitch {pitch}"))).unwrap_err();
+            assert!(e.to_string().contains("--pitch"), "{e}");
+        }
+        let Command::Map(spec) = parse(&args("map --pitch 0.01")).unwrap() else {
+            panic!("not a map")
+        };
+        assert_eq!(spec.pitch, 0.01);
+    }
+
+    /// Applies every `(default X)` a help line names to `base` and checks
+    /// the spec did not change; returns how many defaults were checked.
+    fn help_defaults_hold<S: Clone + PartialEq + fmt::Debug>(
+        cmd: &str,
+        flags: &[Flag<S>],
+        base: S,
+    ) -> usize {
+        let mut checked = 0;
+        for f in flags {
+            let Some((_, rest)) = f.help.split_once("(default ") else {
+                continue;
+            };
+            let value = rest
+                .split(|c: char| c == ')' || c == ';' || c.is_whitespace())
+                .next()
+                .unwrap();
+            let mut spec = base.clone();
+            (f.set)(&mut spec, value)
+                .unwrap_or_else(|e| panic!("{cmd} {}: default `{value}` rejected: {e}", f.name));
+            assert_eq!(spec, base, "{cmd} {}: help says (default {value})", f.name);
+            checked += 1;
+        }
+        checked
+    }
+
+    #[test]
+    fn help_defaults_match_the_spec_defaults() {
+        let venue = VenueAdminSpec {
+            action: VenueAction::List,
+            connect: String::new(),
+            id: 0,
+            venue: None,
+        };
+        let checked = help_defaults_hold("campaign", CAMPAIGN_FLAGS, CampaignSpec::default())
+            + help_defaults_hold("map", MAP_FLAGS, MapSpec::default())
+            + help_defaults_hold("serve", SERVE_FLAGS, ServeSpec::default())
+            + help_defaults_hold("loadgen", LOADGEN_FLAGS, LoadgenSpec::default())
+            + help_defaults_hold("chaos", CHAOS_FLAGS, ChaosSpec::default())
+            + help_defaults_hold("venue", VENUE_FLAGS, venue);
+        // All but the four switches, --listen, both --connect, --id and
+        // venue --venue (whose default is a rotation, not a value).
+        assert_eq!(checked, 52 - 5 - 4);
+    }
+
+    fn names<S>(flags: &[Flag<S>]) -> Vec<&'static str> {
+        flags.iter().map(|f| f.name).collect()
+    }
+
+    #[test]
+    fn no_table_lists_a_flag_twice() {
+        let tables = [
+            names(CAMPAIGN_FLAGS),
+            names(MAP_FLAGS),
+            names(SERVE_FLAGS),
+            names(LOADGEN_FLAGS),
+            names(CHAOS_FLAGS),
+            names(VENUE_FLAGS),
+        ];
+        for table in &tables {
+            let mut sorted = table.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), table.len(), "duplicate flag in {table:?}");
+        }
+        assert_eq!(tables.iter().map(Vec::len).sum::<usize>(), 52);
+        let text = usage();
+        for name in tables.iter().flatten() {
+            assert!(
+                text.contains(&format!("    {name} ")),
+                "{name} missing from usage"
+            );
+        }
     }
 
     #[test]
@@ -1429,11 +1441,14 @@ mod tests {
             cmd,
             Command::Serve(ServeSpec {
                 listen: Some("127.0.0.1:4455".to_string()),
-                max_batch: 8,
-                max_wait_us: 250,
-                queue_cap: 64,
-                batchers: 3,
                 max_requests: 500,
+                daemon: DaemonConfig {
+                    max_batch: 8,
+                    max_wait: Duration::from_micros(250),
+                    queue_capacity: 64,
+                    batchers: 3,
+                    ..DaemonConfig::default()
+                },
                 ..ServeSpec::default()
             })
         );
@@ -1455,7 +1470,10 @@ mod tests {
             Command::Serve(ServeSpec {
                 listen: Some("127.0.0.1:0".to_string()),
                 venues: 8,
-                venue_budget: 1_048_576,
+                daemon: DaemonConfig {
+                    venue_budget_bytes: 1_048_576,
+                    ..DaemonConfig::default()
+                },
                 ..ServeSpec::default()
             })
         );
@@ -1523,7 +1541,7 @@ mod tests {
         let Command::Serve(spec) = cmd else {
             panic!("not serve")
         };
-        assert_eq!(spec.event_loops, 4);
+        assert_eq!(spec.daemon.event_loops, 4);
     }
 
     #[test]
@@ -1540,18 +1558,21 @@ mod tests {
             Command::Loadgen(LoadgenSpec {
                 venue: VenueName::Mall,
                 connect: Some("10.0.0.7:4455".to_string()),
-                connections: 8,
                 requests: 2000,
                 packets: 2,
                 seed: 7,
-                deadline_us: 1500,
                 workers: 3,
                 payload_reuse: true,
-                idle_connections: 5000,
                 venues: 100,
-                zipf: 1.2,
-                sessions: true,
-                concurrency: 6,
+                loadgen: LoadgenConfig {
+                    connections: 8,
+                    deadline_us: 1500,
+                    idle_connections: 5000,
+                    zipf_s: 1.2,
+                    sessions: true,
+                    concurrency: 6,
+                    ..LoadgenConfig::default()
+                },
             })
         );
         assert_eq!(
@@ -1578,8 +1599,11 @@ mod tests {
                 seed: 7,
                 rate: 0.05,
                 workers: 2,
-                kill_every: 6,
                 sessions: 3,
+                daemon: DaemonConfig {
+                    kill_batcher_every: 6,
+                    ..DaemonConfig::default()
+                },
             })
         );
         assert_eq!(
@@ -1598,7 +1622,10 @@ mod tests {
             packets: 2,
             seed: 7,
             workers: 2,
-            kill_every: 5,
+            daemon: DaemonConfig {
+                kill_batcher_every: 5,
+                ..DaemonConfig::default()
+            },
             ..ChaosSpec::default()
         })
         .expect("chaos contract holds");
@@ -1633,9 +1660,12 @@ mod tests {
         let out = run_loadgen(&LoadgenSpec {
             requests: 12,
             packets: 2,
-            connections: 2,
             workers: 2,
             payload_reuse: true,
+            loadgen: LoadgenConfig {
+                connections: 2,
+                ..LoadgenConfig::default()
+            },
             ..LoadgenSpec::default()
         })
         .unwrap();
@@ -1657,9 +1687,12 @@ mod tests {
         let out = run_loadgen(&LoadgenSpec {
             requests: 24,
             packets: 2,
-            connections: 2,
             workers: 2,
             venues: 3,
+            loadgen: LoadgenConfig {
+                connections: 2,
+                ..LoadgenConfig::default()
+            },
             ..LoadgenSpec::default()
         })
         .unwrap();
@@ -1685,7 +1718,10 @@ mod tests {
             packets: 2,
             workers: 2,
             venues: 3,
-            concurrency: 4,
+            loadgen: LoadgenConfig {
+                concurrency: 4,
+                ..LoadgenConfig::default()
+            },
             ..LoadgenSpec::default()
         })
         .unwrap();

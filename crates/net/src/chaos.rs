@@ -61,18 +61,19 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Read timeout for normal replies.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long to wait for the server's rejection of a corrupted frame before
+/// giving up on observing it (a flip that hits the length field leaves the
+/// server waiting for bytes instead).
+const REJECT_PROBE: Duration = Duration::from_millis(250);
+
 /// Chaos-driver configuration.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// The shared fault plan (also hand it to the daemon via
     /// [`crate::DaemonConfig::fault_plan`] so `InjectPanic` fires).
     pub plan: FaultPlan,
-    /// Read timeout for normal replies.
-    pub read_timeout: Duration,
-    /// How long to wait for the server's `Malformed` rejection of a
-    /// corrupted frame before giving up on observing it (a flip that hits
-    /// the length field leaves the server waiting for bytes instead).
-    pub reject_probe: Duration,
     /// The venue every request in this run targets (0 = the daemon's
     /// resident venue). One chaos run exercises one venue; venue-isolation
     /// tests run two drivers against different venues concurrently.
@@ -92,13 +93,11 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Default timeouts around `plan`; stateless (no sessions).
+    /// A stateless run (no sessions) of `plan` against venue 0.
     #[must_use]
     pub fn new(plan: FaultPlan) -> Self {
         ChaosConfig {
             plan,
-            read_timeout: Duration::from_secs(10),
-            reject_probe: Duration::from_millis(250),
             venue_id: 0,
             sessions: 0,
             session_table: None,
@@ -633,32 +632,32 @@ pub fn run(
                 // Cut the frame short and close mid-frame; the server
                 // must discard the partial frame without replying.
                 let cut = plan.truncate_len(id, bytes.len());
-                let c = ensure(&mut conn, addr, config)?;
+                let c = ensure(&mut conn, addr)?;
                 let _ = c.write.write_all(&bytes[..cut]);
                 conn = None;
                 reconnects += 1;
-                send_and_read(&mut conn, addr, config, &bytes, id)?
+                send_and_read(&mut conn, addr, &bytes, id)?
             }
             FaultClass::KillConnection => {
                 // Full frame, then the connection dies before the reply
                 // can land; resend on a fresh connection.
-                let c = ensure(&mut conn, addr, config)?;
+                let c = ensure(&mut conn, addr)?;
                 let _ = c.write.write_all(&bytes);
                 conn = None;
                 reconnects += 1;
-                send_and_read(&mut conn, addr, config, &bytes, id)?
+                send_and_read(&mut conn, addr, &bytes, id)?
             }
             FaultClass::CorruptFrame => {
                 let (idx, mask) = plan.corrupt_byte(id, bytes.len());
                 let mut corrupted = bytes.clone();
                 corrupted[idx] ^= mask;
-                let c = ensure(&mut conn, addr, config)?;
+                let c = ensure(&mut conn, addr)?;
                 let _ = c.write.write_all(&corrupted);
                 // Most flips draw an immediate `Malformed` for id 0 and a
                 // close; a flip in the length field instead leaves the
                 // server waiting for more bytes. Probe briefly, then burn
                 // the connection either way.
-                c.reader.set_read_timeout(config.reject_probe)?;
+                c.reader.set_read_timeout(REJECT_PROBE)?;
                 if let Ok(resp) = c.reader.next_response() {
                     if resp.request_id == 0
                         && matches!(&resp.outcome, Err(e) if e.code == ErrorCode::Malformed)
@@ -668,11 +667,11 @@ pub fn run(
                 }
                 conn = None;
                 reconnects += 1;
-                send_and_read(&mut conn, addr, config, &bytes, id)?
+                send_and_read(&mut conn, addr, &bytes, id)?
             }
             FaultClass::DelayFrame => {
                 let (split, pause) = plan.delay_split(id, bytes.len());
-                let c = ensure(&mut conn, addr, config)?;
+                let c = ensure(&mut conn, addr)?;
                 c.write.write_all(&bytes[..split])?;
                 c.write.flush()?;
                 std::thread::sleep(pause);
@@ -680,7 +679,7 @@ pub fn run(
                 read_reply(c, id)?
             }
             FaultClass::DuplicateFrame => {
-                let c = ensure(&mut conn, addr, config)?;
+                let c = ensure(&mut conn, addr)?;
                 c.write.write_all(&bytes)?;
                 c.write.write_all(&bytes)?;
                 let first = read_reply(c, id)?;
@@ -697,7 +696,7 @@ pub fn run(
             FaultClass::None
             | FaultClass::CorruptCsi
             | FaultClass::DropReadings
-            | FaultClass::InjectPanic => send_and_read(&mut conn, addr, config, &bytes, id)?,
+            | FaultClass::InjectPanic => send_and_read(&mut conn, addr, &bytes, id)?,
         };
         outcomes.push(ChaosOutcome {
             class,
@@ -719,10 +718,10 @@ struct Conn {
 }
 
 impl Conn {
-    fn connect(addr: SocketAddr, config: &ChaosConfig) -> io::Result<Self> {
+    fn connect(addr: SocketAddr) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(config.read_timeout))?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
         let write = stream.try_clone()?;
         Ok(Conn {
             write,
@@ -731,13 +730,9 @@ impl Conn {
     }
 }
 
-fn ensure<'a>(
-    conn: &'a mut Option<Conn>,
-    addr: SocketAddr,
-    config: &ChaosConfig,
-) -> io::Result<&'a mut Conn> {
+fn ensure(conn: &mut Option<Conn>, addr: SocketAddr) -> io::Result<&mut Conn> {
     if conn.is_none() {
-        *conn = Some(Conn::connect(addr, config)?);
+        *conn = Some(Conn::connect(addr)?);
     }
     Ok(conn.as_mut().expect("just connected"))
 }
@@ -746,12 +741,11 @@ fn ensure<'a>(
 fn send_and_read(
     conn: &mut Option<Conn>,
     addr: SocketAddr,
-    config: &ChaosConfig,
     bytes: &[u8],
     id: u64,
 ) -> io::Result<Result<WireEstimate, ErrorReply>> {
-    let c = ensure(conn, addr, config)?;
-    c.reader.set_read_timeout(config.read_timeout)?;
+    let c = ensure(conn, addr)?;
+    c.reader.set_read_timeout(READ_TIMEOUT)?;
     c.write.write_all(bytes)?;
     read_reply(c, id)
 }

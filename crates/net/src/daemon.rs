@@ -17,8 +17,9 @@
 //!   owning nonblocking connections with bounded outbound buffers and
 //!   slow-reader eviction. Connections parse frames incrementally with
 //!   [`crate::wire::StreamDecoder`]; a protocol violation (bad magic,
-//!   CRC, version…) answers with a `Malformed` reply for request id 0
-//!   and closes the connection.
+//!   CRC, version…) answers with one error reply for request id 0
+//!   (`UnsupportedVersion` for a foreign version byte, `Malformed`
+//!   otherwise) and closes the connection once it has flushed.
 //! * **Cross-connection micro-batching**: event loops push decoded
 //!   requests into the dispatch plane — eight venue-affine shard queues
 //!   with work stealing; `batchers` threads pop venue-homogeneous
@@ -63,7 +64,7 @@ mod event;
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Daemon configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
     /// Batcher threads popping micro-batches off the admission queue.
     pub batchers: usize,
@@ -101,11 +102,6 @@ pub struct DaemonConfig {
     /// registry); 0 = unlimited. Cold venues beyond it are LRU-evicted
     /// and rebuilt bit-identically on their next request.
     pub venue_budget_bytes: usize,
-    /// Idle time after which a session (a request stream sharing a v4
-    /// `session_id`) is evicted from the session table.
-    pub session_ttl: Duration,
-    /// Lock shards of the session table.
-    pub session_shards: usize,
 }
 
 impl Default for DaemonConfig {
@@ -121,8 +117,6 @@ impl Default for DaemonConfig {
             event_loops: 2,
             write_buffer_cap: 1 << 20,
             venue_budget_bytes: 0,
-            session_ttl: Duration::from_secs(60),
-            session_shards: 16,
         }
     }
 }
@@ -255,10 +249,7 @@ pub fn spawn<A: ToSocketAddrs>(
         shutting_down: AtomicBool::new(false),
         drain_flush: AtomicBool::new(false),
         net: NetCounters::default(),
-        sessions: Arc::new(SessionTable::new(SessionConfig {
-            ttl: config.session_ttl,
-            shards: config.session_shards,
-        })),
+        sessions: Arc::new(SessionTable::new(SessionConfig::default())),
         // Enough idle buffers for every event loop and batcher to hold one
         // while others are checked out; excess returns are dropped.
         pool: BufferPool::new(64),
@@ -506,17 +497,6 @@ fn reply(shared: &Shared, writer: &QueuedSink, response: LocateResponse) {
     if ok {
         shared.net.requests_ok.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-/// Answers a request whose version byte we cannot serve with a clean
-/// [`ErrorCode::UnsupportedVersion`] reply on the *client's* dialect
-/// (see [`wire::unsupported_version_reply`]), then the caller closes.
-fn version_reject(shared: &Shared, writer: &QueuedSink, got: u8) {
-    let bytes = wire::unsupported_version_reply(got);
-    if writer.send(&bytes) {
-        shared.net.frames_out.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.net.responses_sent.fetch_add(1, Ordering::Relaxed);
 }
 
 fn error_reply(request_id: u64, code: ErrorCode, message: impl Into<String>) -> LocateResponse {

@@ -27,7 +27,7 @@
 //! "every admitted request is answered" holds on the wire, not just in
 //! the buffers.
 
-use super::{error_reply, handle_frame, reply, version_reject, Shared, POLL_INTERVAL};
+use super::{error_reply, handle_frame, reply, Shared, POLL_INTERVAL};
 use crate::poll::{Event, Interest, Poller, Waker};
 use crate::wire::{ErrorCode, StreamDecoder, WireError};
 use std::io::{self, Read, Write};
@@ -424,24 +424,15 @@ fn handle_readable(
                                 }
                             }
                             Ok(None) => break,
-                            Err(WireError::BadVersion { got }) => {
-                                // Version mismatch: reply in the *client's*
-                                // protocol version so it can decode the
-                                // rejection, then close.
-                                shared.net.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                                version_reject(shared, &conn.writer, got);
-                                action = Action::CloseAfterFlush;
-                                break;
-                            }
                             Err(e) => {
                                 // Protocol violation: explain, then close
                                 // (once the explanation has flushed).
                                 shared.net.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                                reply(
-                                    shared,
-                                    &conn.writer,
-                                    error_reply(0, ErrorCode::Malformed, e.to_string()),
-                                );
+                                let code = match e {
+                                    WireError::BadVersion { .. } => ErrorCode::UnsupportedVersion,
+                                    _ => ErrorCode::Malformed,
+                                };
+                                reply(shared, &conn.writer, error_reply(0, code, e.to_string()));
                                 action = Action::CloseAfterFlush;
                                 break;
                             }

@@ -17,24 +17,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// Client-side read timeout per connection — a stuck server surfaces as an
+/// I/O error instead of a hang.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// How many times each connection may reconnect after a transport failure
+/// (reset, EOF, refused…) before giving up. Only requests still unanswered
+/// are resent on the fresh connection.
+const MAX_RECONNECTS: usize = 5;
+/// Base delay of the capped exponential reconnect backoff; attempt `k`
+/// sleeps `base · 2^min(k-1, 5)` plus a deterministic jitter in `[0, base)`
+/// keyed on the connection index and attempt number.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Load-generator configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadgenConfig {
     /// Parallel TCP connections (requests are strided across them).
     pub connections: usize,
     /// Per-request deadline forwarded to the server, µs (0 = none).
     pub deadline_us: u32,
-    /// Client-side read timeout per connection — a stuck server surfaces
-    /// as an I/O error instead of a hang.
-    pub read_timeout: Duration,
-    /// How many times each connection may reconnect after a transport
-    /// failure (reset, EOF, refused…) before giving up. Only requests
-    /// still unanswered are resent on the fresh connection.
-    pub max_reconnects: usize,
-    /// Base delay of the capped exponential reconnect backoff; attempt
-    /// `k` sleeps `base · 2^min(k-1, 5)` plus a deterministic jitter in
-    /// `[0, base)` keyed on the connection index and attempt number.
-    pub reconnect_backoff: Duration,
     /// Extra connections opened before the workload starts and held idle
     /// (no frames ever written) until every response is in — the
     /// mostly-idle soak shape of crowdsourced CSI traffic. Opened
@@ -72,9 +73,6 @@ impl Default for LoadgenConfig {
         LoadgenConfig {
             connections: 4,
             deadline_us: 0,
-            read_timeout: Duration::from_secs(30),
-            max_reconnects: 5,
-            reconnect_backoff: Duration::from_millis(10),
             idle_connections: 0,
             venues: Vec::new(),
             zipf_s: 1.0,
@@ -475,14 +473,10 @@ fn drive_connection(
         };
         match pass {
             Ok(()) => return Ok(()),
-            Err(e) if is_reconnectable(&e) && (attempt as usize) < config.max_reconnects => {
+            Err(e) if is_reconnectable(&e) && (attempt as usize) < MAX_RECONNECTS => {
                 attempt += 1;
                 reconnects.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(reconnect_delay(
-                    config.reconnect_backoff,
-                    conn as u64,
-                    attempt,
-                ));
+                std::thread::sleep(reconnect_delay(RECONNECT_BACKOFF, conn as u64, attempt));
             }
             Err(e) => return Err(e),
         }
@@ -502,7 +496,7 @@ fn drive_once(
 ) -> io::Result<()> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(config.read_timeout))?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut write_half = stream.try_clone()?;
     let picker = VenuePicker::from_config(config);
     // The session follows the *connection index*, not the TCP connection:
@@ -589,7 +583,7 @@ fn drive_once_closed(
 ) -> io::Result<()> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(config.read_timeout))?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut write_half = stream.try_clone()?;
     let picker = VenuePicker::from_config(config);
     let session_id = if config.sessions { 1 + conn as u64 } else { 0 };

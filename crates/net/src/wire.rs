@@ -6,11 +6,8 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  "NMLC"
-//!      4     1  protocol version (currently 3; v3 added the venue id on
-//!                                 requests, the venue admin frames, and
-//!                                 per-venue health records — older
-//!                                 decoders reject v3 frames cleanly
-//!                                 with `BadVersion`)
+//!      4     1  protocol version (currently 4; any other byte is
+//!                                 rejected with `BadVersion`)
 //!      5     1  frame type (1 = LocateRequest, 2 = LocateResponse,
 //!                           3 = StatsRequest,  4 = StatsResponse,
 //!                           5 = VenueOnboard,  6 = VenueRetire,
@@ -59,11 +56,11 @@ pub const MAGIC: [u8; 4] = *b"NMLC";
 /// [`LocateRequest`] (0 = stateless), an optional [`WireSession`] block
 /// (smoothed position, velocity, localizability error bound) on
 /// [`WireEstimate`], the `Predicted` quality tier (byte 3), and session
-/// counters on [`ServerHealth`]/[`VenueHealth`]. Older decoders reject v4
-/// frames with [`WireError::BadVersion`], and a v4 daemon answers a
-/// down-version request with a [`ErrorCode::UnsupportedVersion`] reply
-/// encoded at the *client's* version (see [`unsupported_version_reply`])
-/// so old structural decoders never see a CRC or framing failure.
+/// counters on [`ServerHealth`]/[`VenueHealth`]. Only this version is
+/// spoken: [`decode_frame`] rejects any other version byte with
+/// [`WireError::BadVersion`], which the daemon answers like every other
+/// protocol error — one [`ErrorCode::UnsupportedVersion`] reply at this
+/// version, then close.
 pub const VERSION: u8 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -182,12 +179,8 @@ pub enum ErrorCode {
     LpInfeasible = 7,
     /// The LP solver failed numerically on every venue piece.
     LpNumerical = 8,
-    /// The client spoke a protocol version the server does not serve.
-    /// New in v3: a v3 daemon answers a down-version request with this
-    /// code encoded at the client's version. Decoders older than v3 do
-    /// not know the code and surface it as a clean
-    /// `Malformed("unknown error code 9")` — still a structured reject,
-    /// never a CRC or framing failure.
+    /// The client spoke a protocol version the server does not serve
+    /// (the reply itself is encoded at the server's [`VERSION`]).
     UnsupportedVersion = 9,
     /// The request named a venue the registry has never onboarded
     /// (new in v3).
@@ -642,7 +635,8 @@ pub struct ServerHealth {
     pub batch_size_max: u64,
     /// Requests answered with an estimate.
     pub requests_ok: u64,
-    /// Requests answered with `EstimateFailed`.
+    /// Admitted requests answered with an error: every failed estimate
+    /// (whatever its cause code), unresolvable venues, isolated panics.
     pub requests_failed: u64,
     /// Solve-stage latency p50 upper bound, ns.
     pub solve_p50_ns: u64,
@@ -1343,21 +1337,9 @@ fn health_fields_mut(h: &mut ServerHealth) -> [&mut u64; 27] {
 /// allocation in steady state. The byte image is identical to encoding the
 /// payload separately and appending it.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    encode_frame_with_version(frame, VERSION, out);
-}
-
-/// [`encode_frame`] with an explicit version byte in the header.
-///
-/// Payload schemas are always the *current* version's — this exists so the
-/// daemon can stamp a version-stable frame (a [`LocateResponse`] error,
-/// whose layout has not changed since v2) with a down-level client's
-/// version byte, letting that client's structural decoder accept the
-/// [`ErrorCode::UnsupportedVersion`] reply instead of tripping on
-/// `BadVersion`.
-pub fn encode_frame_with_version(frame: &Frame, version: u8, out: &mut Vec<u8>) {
     let header_at = out.len();
     out.extend_from_slice(&MAGIC);
-    out.push(version);
+    out.push(VERSION);
     out.push(frame.type_tag());
     put_u16(out, 0); // reserved
     put_u32(out, 0); // payload length, backpatched below
@@ -1379,33 +1361,6 @@ pub fn encode_frame_with_version(frame: &Frame, version: u8, out: &mut Vec<u8>) 
     out[header_at + 12..header_at + 16].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// The daemon's reply to a request whose version byte it cannot serve: a
-/// [`LocateResponse`] carrying [`ErrorCode::UnsupportedVersion`], encoded
-/// at the *client's* version when the client is older than us (so its
-/// structural decoder accepts the frame — the response layout is stable
-/// across v2/v3) and at our version otherwise.
-///
-/// Satellite guarantee: a v2-only client talking to a v3 daemon sees a
-/// clean structured error on its own wire dialect, never a CRC or framing
-/// failure.
-pub fn unsupported_version_reply(got: u8) -> Vec<u8> {
-    let reply_version = if (1..VERSION).contains(&got) {
-        got
-    } else {
-        VERSION
-    };
-    let frame = Frame::LocateResponse(LocateResponse {
-        request_id: 0,
-        outcome: Err(ErrorReply {
-            code: ErrorCode::UnsupportedVersion,
-            message: format!("server speaks protocol v{VERSION}, got v{got}"),
-        }),
-    });
-    let mut out = Vec::new();
-    encode_frame_with_version(&frame, reply_version, &mut out);
-    out
-}
-
 /// Encodes `frame` into a fresh buffer.
 pub fn frame_to_vec(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::new();
@@ -1423,17 +1378,6 @@ pub fn frame_to_vec(frame: &Frame) -> Vec<u8> {
 /// [`WireError::Incomplete`] when `buf` holds a valid prefix that needs
 /// more bytes; any other variant is a protocol violation.
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
-    decode_frame_with_version(buf, VERSION)
-}
-
-/// [`decode_frame`] with an explicit accepted version byte.
-///
-/// Payload schemas are always the *current* version's, so this is only
-/// meaningful for version-stable frames ([`LocateResponse`],
-/// [`Frame::StatsRequest`]) — the negotiation tests use it to act as a v2-only
-/// client verifying that a v3 daemon's [`unsupported_version_reply`]
-/// decodes cleanly on the old dialect.
-pub fn decode_frame_with_version(buf: &[u8], version: u8) -> Result<(Frame, usize), WireError> {
     if buf.len() < HEADER_LEN {
         return Err(WireError::Incomplete {
             needed: HEADER_LEN - buf.len(),
@@ -1443,7 +1387,7 @@ pub fn decode_frame_with_version(buf: &[u8], version: u8) -> Result<(Frame, usiz
     if magic != MAGIC {
         return Err(WireError::BadMagic { got: magic });
     }
-    if buf[4] != version {
+    if buf[4] != VERSION {
         return Err(WireError::BadVersion { got: buf[4] });
     }
     let frame_type = buf[5];
@@ -1792,34 +1736,6 @@ mod tests {
                 Err(WireError::BadVersion { got }) if got == old
             ));
         }
-    }
-
-    #[test]
-    fn down_version_requests_get_a_decodable_unsupported_version_reply() {
-        // Satellite 1: a v2-only client sends a request with version byte 2
-        // (the CRC covers only the payload, so the daemon rejects on the
-        // version byte alone) and must be able to decode the reply on its
-        // own dialect — acting the v2 client via decode_frame_with_version.
-        let mut req = frame_to_vec(&sample_request());
-        req[4] = 2;
-        let Err(WireError::BadVersion { got }) = decode_frame(&req) else {
-            panic!("v2 request must be rejected on the version byte");
-        };
-        let reply = unsupported_version_reply(got);
-        assert_eq!(reply[4], 2, "reply is stamped with the client's version");
-        let (frame, n) = decode_frame_with_version(&reply, 2).unwrap();
-        assert_eq!(n, reply.len());
-        let Frame::LocateResponse(resp) = frame else {
-            panic!("reply must be a LocateResponse, got {frame:?}");
-        };
-        assert_eq!(
-            resp.outcome.unwrap_err().code,
-            ErrorCode::UnsupportedVersion
-        );
-        // A *newer* client (hypothetical v5) gets the reply on our dialect.
-        let reply = unsupported_version_reply(5);
-        assert_eq!(reply[4], VERSION);
-        assert!(decode_frame(&reply).is_ok());
     }
 
     #[test]

@@ -282,6 +282,34 @@ fn protocol_error_closes_only_that_connection() {
     assert_eq!(health.protocol_errors, 1);
 }
 
+/// A well-formed frame stamped with a foreign version byte is a protocol
+/// error like any other: exactly one `UnsupportedVersion` reply, encoded at
+/// the daemon's own version, then the connection closes.
+#[test]
+fn foreign_version_gets_one_current_version_reject_then_close() {
+    let handle = spawn(lab_server(), DaemonConfig::default(), "127.0.0.1:0").expect("spawn daemon");
+    let mut request = cheap_request(7, 0);
+    request[4] = 3;
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream.write_all(&request).unwrap();
+
+    let mut bytes = Vec::new();
+    stream.read_to_end(&mut bytes).expect("read until close");
+    let (frame, consumed) = decode_frame(&bytes).expect("reply decodes at the current version");
+    assert_eq!(consumed, bytes.len(), "exactly one reply before EOF");
+    let Frame::LocateResponse(response) = frame else {
+        panic!("expected a LocateResponse, got {frame:?}");
+    };
+    assert_eq!(response.request_id, 0);
+    match &response.outcome {
+        Err(e) if e.code == ErrorCode::UnsupportedVersion => {}
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+
+    let health = handle.shutdown();
+    assert_eq!(health.protocol_errors, 1);
+}
+
 /// A `StatsRequest` frame answers with the daemon's health snapshot.
 #[test]
 fn stats_frame_reports_health() {
