@@ -1,9 +1,7 @@
 //! Solver scalability (the §IV-B-4 polynomial-time claim): relaxation-LP
-//! wall time as the constraint count grows with APs × nomadic sites, plus
-//! the flat-tableau workspace solver against the retained dense reference
-//! (`Program::solve_reference`) — the acceptance figure for the solver
-//! rewrite is the paired min-of-rounds speedup on tens-of-rows programs,
-//! also emitted as `BENCH_lp.json` by the `bench_json` binary.
+//! wall time as the constraint count grows with APs × nomadic sites, the
+//! same relaxation through a reused [`SimplexWorkspace`], and the three
+//! center methods on one constraint set.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nomloc_bench::lpcmp;
@@ -26,8 +24,8 @@ fn bench_relaxation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Workspace solver vs the dense reference on the same relaxation LPs.
-/// Both sides solve the identical program; only the solver path differs.
+/// The relaxation LPs solved through one reused workspace (the serving
+/// path's allocation-free solver).
 fn bench_solver_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver_path");
     group.sample_size(20);
@@ -36,9 +34,6 @@ fn bench_solver_paths(c: &mut Criterion) {
     for n_sites in [6usize, 8, 12] {
         let (cs, _, _) = lpcmp::constraint_set(n_sites);
         let rows = cs.len();
-        group.bench_with_input(BenchmarkId::new("reference", rows), &cs, |b, cs| {
-            b.iter(|| lpcmp::relax_reference(std::hint::black_box(cs)))
-        });
         group.bench_with_input(BenchmarkId::new("workspace", rows), &cs, |b, cs| {
             let mut ws = SimplexWorkspace::new();
             b.iter(|| {
@@ -47,69 +42,6 @@ fn bench_solver_paths(c: &mut Criterion) {
         });
     }
     group.finish();
-    paired_solver_ratio();
-}
-
-/// Paired min-of-rounds comparison on tens-of-rows programs — the rewrite's
-/// acceptance figure (target: ≥ 1.5× on these sizes).
-fn paired_solver_ratio() {
-    for n_sites in [6usize, 8, 12] {
-        let (cs, candidates, bounds) = lpcmp::constraint_set(n_sites);
-        let edges = center::polygon_halfplanes(&bounds);
-        let mut ws = SimplexWorkspace::new();
-
-        let (ref_ns, ws_ns) = lpcmp::paired_min_ns(
-            nomloc_bench::rounds(300),
-            8,
-            || {
-                std::hint::black_box(lpcmp::relax_reference(std::hint::black_box(&cs)));
-            },
-            || {
-                std::hint::black_box(
-                    nomloc_lp::relax::relax_constraints_in(&mut ws, std::hint::black_box(&cs))
-                        .unwrap(),
-                );
-            },
-        );
-        println!(
-            "solver_path/paired_min/{:<3} rows                   reference {:.1} µs, workspace {:.1} µs, speedup {:.3}x",
-            cs.len(),
-            ref_ns / 1e3,
-            ws_ns / 1e3,
-            ref_ns / ws_ns,
-        );
-
-        // Full relax→center pipeline: two cold reference LPs vs the
-        // warm-started workspace pair.
-        let mut ws = SimplexWorkspace::new();
-        let (ref_ns, ws_ns) = lpcmp::paired_min_ns(
-            nomloc_bench::rounds(300),
-            8,
-            || {
-                std::hint::black_box(lpcmp::relax_then_center_reference(
-                    std::hint::black_box(&cs),
-                    candidates,
-                    &edges,
-                ));
-            },
-            || {
-                std::hint::black_box(lpcmp::relax_then_center_workspace(
-                    &mut ws,
-                    std::hint::black_box(&cs),
-                    candidates,
-                    &bounds,
-                    &edges,
-                ));
-            },
-        );
-        println!(
-            "relax_then_center/paired_min/{:<3} rows            reference {:.1} µs, workspace {:.1} µs, speedup {:.3}x",
-            cs.len(),
-            ref_ns / 1e3,
-            ws_ns / 1e3,
-            ref_ns / ws_ns,
-        );
-    }
 }
 
 fn bench_centers(c: &mut Criterion) {

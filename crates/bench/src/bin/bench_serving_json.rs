@@ -1,30 +1,25 @@
 //! Machine-readable end-to-end serving benchmark: stage-attributed
-//! ns-per-request through the full daemon pipeline (decode → PDP →
-//! constraints → LP → encode), plus paired comparisons of the planned FFT
-//! against the retained iterative kernel, pooled against fresh encode
-//! buffers, and the zero-allocation pipeline against a faithful replica
-//! of the pre-plan allocating path. Written as `BENCH_serving.json` (in
-//! the current directory, or `$NOMLOC_BENCH_SERVING_JSON`).
+//! ns-per-request through the full in-process pipeline (decode → PDP →
+//! constraints → LP → encode) and the same pipeline end to end, plus the
+//! socket-level sections — the idle-connection soak, multi-venue scaling,
+//! the dispatch plane and the session plane. Written as
+//! `BENCH_serving.json` (in the current directory, or
+//! `$NOMLOC_BENCH_SERVING_JSON`).
 //!
-//! Every comparison is a min-of-rounds over alternating passes — see
-//! `nomloc_bench::lpcmp::paired_min_ns` — so slow drift (thermal,
-//! scheduler) hits both sides equally and the minimum approximates the
-//! noise-free cost. The "naive" side reconstructs the pre-optimization
-//! hot path exactly: the iterative twiddle-accumulating FFT kernel
-//! (`fft_radix2_unplanned`), a fresh allocation for every windowed CSI
-//! vector, IFFT output, per-packet PDP list, and reply frame.
+//! Every figure is a min over rounds, so the minimum approximates the
+//! noise-free cost; where two configurations are compared (venue counts,
+//! stateless vs sessioned), their passes alternate so slow drift
+//! (thermal, scheduler) hits both sides equally.
 
-use nomloc_bench::{lpcmp, quick_mode, rounds};
+use nomloc_bench::{quick_mode, rounds};
 use nomloc_core::scenario::{synthetic_workload, Venue};
 use nomloc_core::server::CsiReport;
-use nomloc_core::{ApSite, LocalizationServer, PdpEstimator, PdpScratch, SpEstimator};
-use nomloc_dsp::{fft, Complex};
+use nomloc_core::{ApSite, LocalizationServer, SpEstimator};
 use nomloc_net::wire::{
     self, ErrorCode, ErrorReply, Frame, LocateRequest, LocateResponse, WireEstimate, WireReport,
     WireVenue,
 };
 use nomloc_net::BufferPool;
-use nomloc_rfsim::CsiSnapshot;
 use std::hint::black_box;
 use std::io::BufRead;
 
@@ -38,6 +33,18 @@ struct SoakResult {
     active_p99_ns_idle: f64,
     daemon_rss_delta_bytes: i64,
     rss_bytes_per_connection: f64,
+}
+
+/// A spawned daemon that is killed and reaped when dropped, so a panic
+/// anywhere in the soak (a failed loadgen pass, a bad banner) cannot leave
+/// it listening.
+struct DaemonChild(std::process::Child);
+
+impl Drop for DaemonChild {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
 /// Resident set size of `pid` in bytes (Linux `/proc`; `None` elsewhere).
@@ -67,13 +74,15 @@ fn run_soak(idle_target: usize, active_requests: usize) -> Option<SoakResult> {
         );
         return None;
     }
-    let mut child = std::process::Command::new(&nomloc)
-        .args(["serve", "--listen", "127.0.0.1:0", "--workers", "2"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .ok()?;
+    let mut child = DaemonChild(
+        std::process::Command::new(&nomloc)
+            .args(["serve", "--listen", "127.0.0.1:0", "--workers", "2"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .ok()?,
+    );
     let addr = {
-        let stdout = child.stdout.take().expect("piped stdout");
+        let stdout = child.0.stdout.take().expect("piped stdout");
         let mut line = String::new();
         std::io::BufReader::new(stdout)
             .read_line(&mut line)
@@ -103,7 +112,7 @@ fn run_soak(idle_target: usize, active_requests: usize) -> Option<SoakResult> {
     };
     let base = nomloc_net::loadgen::run(addr, &baseline_config, &batch).expect("baseline run");
 
-    let rss_before = rss_of(child.id());
+    let rss_before = rss_of(child.0.id());
     let soak_config = nomloc_net::LoadgenConfig {
         connections: 4,
         idle_connections: idle_target,
@@ -113,9 +122,8 @@ fn run_soak(idle_target: usize, active_requests: usize) -> Option<SoakResult> {
     // RSS is sampled after the run; the daemon keeps the write buffers
     // and slab slots the crowd forced to exist, which is precisely the
     // steady-state cost the soak wants to price.
-    let rss_after = rss_of(child.id());
-    let _ = child.kill();
-    let _ = child.wait();
+    let rss_after = rss_of(child.0.id());
+    drop(child);
 
     let delta = match (rss_before, rss_after) {
         (Some(b), Some(a)) => a as i64 - b as i64,
@@ -281,7 +289,7 @@ struct VenueScale {
 /// extra venues on each over the TCP admin plane, then drives a
 /// zipf(1.0)-over-venues workload against the scales in *alternating*
 /// passes — min ns/request over the rounds, so slow machine drift hits
-/// every scale equally (the same discipline as `lpcmp::paired_min_ns`).
+/// every scale equally.
 /// Each scale reports its best pass plus the daemon's cumulative
 /// batch-composition counters (every micro-batch across every round must
 /// stay venue-homogeneous).
@@ -385,8 +393,9 @@ struct SessionCost {
 }
 
 /// Prices the session plane: the same workload driven stateless and with
-/// one session per connection, in alternating min-of-rounds passes
-/// against a single daemon. The sessioned side pays the tracker push,
+/// one session per connection, in min-of-rounds passes against a single
+/// daemon. Which side runs first alternates from round to round, so
+/// warm-up and drift cannot favour either side's minimum. The sessioned side pays the tracker push,
 /// the localizability bound lookup, and the larger reply frame on every
 /// request — the headline number is that overhead as a percentage.
 fn run_sessions(batch: &[Vec<CsiReport>]) -> SessionCost {
@@ -410,22 +419,33 @@ fn run_sessions(batch: &[Vec<CsiReport>]) -> SessionCost {
     let mut stateless_ns = f64::INFINITY;
     let mut sessioned_ns = f64::INFINITY;
     let mut smoothed_replies = 0usize;
-    for _ in 0..5 {
-        let base = nomloc_net::loadgen::run(addr, &stateless, batch).expect("stateless pass");
-        assert_eq!(
-            base.ok_count(),
-            batch.len(),
-            "stateless pass answers everything"
-        );
-        stateless_ns = stateless_ns.min(1.0e9 / base.throughput_rps());
-        let tracked = nomloc_net::loadgen::run(addr, &sessioned, batch).expect("sessioned pass");
-        assert_eq!(
-            tracked.ok_count(),
-            batch.len(),
-            "sessioned pass answers everything"
-        );
-        sessioned_ns = sessioned_ns.min(1.0e9 / tracked.throughput_rps());
-        smoothed_replies = tracked.session_deviations().iter().map(|(_, n, _)| n).sum();
+    for round in 0..5 {
+        let order = if round % 2 == 0 {
+            [false, true]
+        } else {
+            [true, false]
+        };
+        for tracked in order {
+            let (config, side) = if tracked {
+                (&sessioned, "sessioned")
+            } else {
+                (&stateless, "stateless")
+            };
+            let report = nomloc_net::loadgen::run(addr, config, batch)
+                .unwrap_or_else(|e| panic!("{side} pass: {e}"));
+            assert_eq!(
+                report.ok_count(),
+                batch.len(),
+                "{side} pass answers everything"
+            );
+            let ns = 1.0e9 / report.throughput_rps();
+            if tracked {
+                sessioned_ns = sessioned_ns.min(ns);
+                smoothed_replies = report.session_deviations().iter().map(|(_, n, _)| n).sum();
+            } else {
+                stateless_ns = stateless_ns.min(ns);
+            }
+        }
     }
     handle.shutdown();
     SessionCost {
@@ -457,34 +477,6 @@ fn min_ns(rounds: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// The pre-optimization burst PDP, replicated stage for stage: a fresh
-/// windowed-CSI vector per packet, the iterative (unplanned) IFFT kernel
-/// into a per-burst scratch, a materialized per-packet tap-power vector
-/// (the old path built a full `DelayProfile` and then asked for its
-/// peak), a fresh per-packet list, and a median over a sorted copy.
-fn pdp_burst_naive(est: &PdpEstimator, burst: &[CsiSnapshot]) -> Option<f64> {
-    let mut scratch: Vec<Complex> = Vec::new();
-    let per_packet: Vec<f64> = burst
-        .iter()
-        .map(|s| {
-            let n = s.h.len();
-            let tapered = est.window.apply(&s.h);
-            fft::ifft_padded_into_unplanned(&tapered, est.min_taps, &mut scratch);
-            let gain = scratch.len() as f64 / n as f64;
-            let powers: Vec<f64> = scratch.iter().map(|h| (*h * gain).norm_sq()).collect();
-            // `DelayProfile::peak`'s scan: max_by over total_cmp.
-            powers
-                .iter()
-                .copied()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(&b.1))
-                .map(|(_, p)| p)
-                .expect("padded IFFT output is never empty")
-        })
-        .collect();
-    nomloc_dsp::stats::median(&per_packet)
-}
-
 /// Builds the reply frame a request's solve outcome encodes to.
 fn response_of(
     request_id: u64,
@@ -514,7 +506,6 @@ fn main() {
     let area = venue.plan.boundary().clone();
     let server = LocalizationServer::new(area.clone()).with_workers(1);
     let estimator = SpEstimator::new();
-    let pdp = PdpEstimator::new();
 
     // Pre-encoded request frames: the bytes a loadgen connection writes.
     let frames: Vec<Vec<u8>> = requests
@@ -578,157 +569,24 @@ fn main() {
         }
     }) / n;
 
-    // --- Planned vs iterative FFT kernel, 256-point (the default
-    // serving transform size for Intel 5300 CSI padded to 256 taps).
-    let template: Vec<Complex> = (0..256)
-        .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.113).cos()))
-        .collect();
-    let mut planned_buf = template.clone();
-    let mut naive_buf = template.clone();
-    let (fft_planned_ns, fft_naive_ns) = lpcmp::paired_min_ns(
-        rounds(300),
-        128,
-        || {
-            planned_buf.copy_from_slice(&template);
-            fft::fft_radix2(black_box(&mut planned_buf), false);
-        },
-        || {
-            naive_buf.copy_from_slice(&template);
-            fft::fft_radix2_unplanned(black_box(&mut naive_buf), false);
-        },
-    );
-
-    // --- PDP extraction at 64-point transforms: planned + scratch
-    // against the pre-plan allocating path, per burst.
-    let est64 = PdpEstimator {
-        min_taps: 64,
-        ..PdpEstimator::default()
-    };
-    let all_reports: Vec<&CsiReport> = requests.iter().flatten().collect();
-    let mut scratch = PdpScratch::new();
-    let (pdp64_planned_ns, pdp64_naive_ns) = lpcmp::paired_min_ns(
-        rounds(200),
-        1,
-        || {
-            for r in &all_reports {
-                black_box(est64.pdp_of_burst_with(&r.burst, &mut scratch));
-            }
-        },
-        || {
-            for r in &all_reports {
-                black_box(pdp_burst_naive(&est64, &r.burst));
-            }
-        },
-    );
-    let bursts = all_reports.len() as f64;
-    let (pdp64_planned_ns, pdp64_naive_ns) = (pdp64_planned_ns / bursts, pdp64_naive_ns / bursts);
-
-    // --- Batched SoA PDP against the per-packet planned kernel, at the
-    // serving shape: each request's reports extracted together (4 APs ×
-    // 2 packets = 8 lockstep lanes per dispatch) versus the PR-5 hot path
-    // replicated exactly — the planned scalar kernel per snapshot with
-    // reused scratch, median per burst. Both sides allocation-free in
-    // steady state, so the delta is purely the lockstep traversal.
-    let mut batched_scratch = PdpScratch::new();
-    let mut scalar_scratch = PdpScratch::new();
-    let mut batched_out: Vec<Option<f64>> = Vec::new();
-    let mut scalar_peaks: Vec<f64> = Vec::new();
-    let (pdp_batched_ns, pdp_per_packet_ns) = lpcmp::paired_min_ns(
-        rounds(200),
-        1,
-        || {
-            for reports in &requests {
-                let bursts: Vec<&[CsiSnapshot]> =
-                    reports.iter().map(|r| r.burst.as_slice()).collect();
-                pdp.pdp_of_bursts_with(&bursts, &mut batched_scratch, &mut batched_out);
-                black_box(batched_out.len());
-            }
-        },
-        || {
-            for reports in &requests {
-                for r in reports {
-                    scalar_peaks.clear();
-                    scalar_peaks.extend(
-                        r.burst
-                            .iter()
-                            .map(|s| pdp.pdp_of_snapshot_with(s, &mut scalar_scratch)),
-                    );
-                    black_box(nomloc_dsp::stats::median_in_place(&mut scalar_peaks));
-                }
-            }
-        },
-    );
-    let (pdp_batched_ns, pdp_per_packet_ns) = (pdp_batched_ns / n, pdp_per_packet_ns / n);
-
-    // --- Pooled vs fresh reply encode, per frame.
-    let (encode_pooled_ns, encode_fresh_ns) = lpcmp::paired_min_ns(
-        rounds(300),
-        1,
-        || {
-            for frame in &response_frames {
-                let (mut buf, _) = pool.get();
-                wire::encode_frame(frame, &mut buf);
-                black_box(buf.len());
-                pool.put(buf);
-            }
-        },
-        || {
-            for frame in &response_frames {
-                black_box(wire::frame_to_vec(frame));
-            }
-        },
-    );
-    let (encode_pooled_ns, encode_fresh_ns) = (encode_pooled_ns / n, encode_fresh_ns / n);
-
-    // --- End to end: decode → PDP → constraints → LP → encode, the
-    // optimized pipeline against the pre-optimization replica.
-    let e2e_rounds = rounds(100);
-    let (e2e_optimized_ns, e2e_naive_ns) = lpcmp::paired_min_ns(
-        e2e_rounds,
-        1,
-        || {
-            for bytes in &frames {
-                let (frame, _) = wire::decode_frame(bytes).expect("benchmark frame decodes");
-                let Frame::LocateRequest(req) = frame else {
-                    unreachable!("workload frames are requests");
-                };
-                let reports = req.to_core_reports().expect("benchmark reports are valid");
-                let readings = server.extract_readings(&reports);
-                let judgements = server.judge(&readings);
-                let response = response_of(req.request_id, estimator.estimate(&judgements, &area));
-                let (mut buf, _) = pool.get();
-                wire::encode_frame(&Frame::LocateResponse(response), &mut buf);
-                black_box(buf.len());
-                pool.put(buf);
-            }
-        },
-        || {
-            for bytes in &frames {
-                let (frame, _) = wire::decode_frame(bytes).expect("benchmark frame decodes");
-                let Frame::LocateRequest(req) = frame else {
-                    unreachable!("workload frames are requests");
-                };
-                let reports = req.to_core_reports().expect("benchmark reports are valid");
-                let readings: Vec<_> = reports
-                    .iter()
-                    .filter_map(|r| {
-                        let value = pdp_burst_naive(&pdp, &r.burst)?;
-                        nomloc_core::PdpReading::try_new(r.site, value).ok()
-                    })
-                    .collect();
-                let judgements = server.judge(&readings);
-                let response = response_of(req.request_id, estimator.estimate(&judgements, &area));
-                black_box(wire::frame_to_vec(&Frame::LocateResponse(response)));
-            }
-        },
-    );
-    let (e2e_optimized_ns, e2e_naive_ns) = (e2e_optimized_ns / n, e2e_naive_ns / n);
-
-    let fft_speedup = fft_naive_ns / fft_planned_ns;
-    let pdp_batched_speedup = pdp_per_packet_ns / pdp_batched_ns;
-    let pdp64_speedup = pdp64_naive_ns / pdp64_planned_ns;
-    let encode_speedup = encode_fresh_ns / encode_pooled_ns;
-    let e2e_speedup = e2e_naive_ns / e2e_optimized_ns;
+    // --- End to end: decode → PDP → constraints → LP → encode, one
+    // request after another through the shipping path.
+    let e2e_ns = min_ns(rounds(100), || {
+        for bytes in &frames {
+            let (frame, _) = wire::decode_frame(bytes).expect("benchmark frame decodes");
+            let Frame::LocateRequest(req) = frame else {
+                unreachable!("workload frames are requests");
+            };
+            let reports = req.to_core_reports().expect("benchmark reports are valid");
+            let readings = server.extract_readings(&reports);
+            let judgements = server.judge(&readings);
+            let response = response_of(req.request_id, estimator.estimate(&judgements, &area));
+            let (mut buf, _) = pool.get();
+            wire::encode_frame(&Frame::LocateResponse(response), &mut buf);
+            black_box(buf.len());
+            pool.put(buf);
+        }
+    }) / n;
 
     // --- Mostly-idle connection scaling on the event loops.
     let (idle_target, soak_requests) = if quick_mode() {
@@ -814,33 +672,14 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"requests\": {n_requests},\n  \"stages\": {{\"decode_ns_per_request\": {decode_ns:.1}, \"pdp_ns_per_request\": {pdp_ns:.1}, \"constraints_ns_per_request\": {constraints_ns:.1}, \"lp_ns_per_request\": {lp_ns:.1}, \"encode_ns_per_request\": {encode_ns:.1}}},\n  \"fft\": {{\"points\": 256, \"planned_ns\": {fft_planned_ns:.1}, \"naive_ns\": {fft_naive_ns:.1}, \"speedup\": {fft_speedup:.4}}},\n  \"pdp_batched\": {{\"batched_ns_per_request\": {pdp_batched_ns:.1}, \"per_packet_ns_per_request\": {pdp_per_packet_ns:.1}, \"speedup\": {pdp_batched_speedup:.4}}},\n  \"pdp_64\": {{\"planned_ns_per_burst\": {pdp64_planned_ns:.1}, \"unplanned_ns_per_burst\": {pdp64_naive_ns:.1}, \"speedup\": {pdp64_speedup:.4}}},\n  \"encode\": {{\"pooled_ns_per_reply\": {encode_pooled_ns:.1}, \"fresh_ns_per_reply\": {encode_fresh_ns:.1}, \"speedup\": {encode_speedup:.4}}},\n  \"end_to_end\": {{\"optimized_ns_per_request\": {e2e_optimized_ns:.1}, \"naive_ns_per_request\": {e2e_naive_ns:.1}, \"speedup\": {e2e_speedup:.4}}},\n  \"soak\": {soak_json},\n  \"venues\": {venues_json},\n  \"dispatch\": {dispatch_json},\n  \"sessions\": {sessions_json}\n}}\n"
+        "{{\n  \"requests\": {n_requests},\n  \"stages\": {{\"decode_ns_per_request\": {decode_ns:.1}, \"pdp_ns_per_request\": {pdp_ns:.1}, \"constraints_ns_per_request\": {constraints_ns:.1}, \"lp_ns_per_request\": {lp_ns:.1}, \"encode_ns_per_request\": {encode_ns:.1}}},\n  \"end_to_end\": {{\"optimized_ns_per_request\": {e2e_ns:.1}}},\n  \"soak\": {soak_json},\n  \"venues\": {venues_json},\n  \"dispatch\": {dispatch_json},\n  \"sessions\": {sessions_json}\n}}\n"
     );
 
     println!(
         "serving stages (ns/request): decode {decode_ns:.0} | pdp {pdp_ns:.0} | \
          constraints {constraints_ns:.0} | lp {lp_ns:.0} | encode {encode_ns:.0}"
     );
-    println!(
-        "fft 256-pt: planned {fft_planned_ns:.1} ns, naive {fft_naive_ns:.1} ns — \
-         speedup {fft_speedup:.3}x"
-    );
-    println!(
-        "pdp batched: {pdp_batched_ns:.0} ns/req batched SoA, {pdp_per_packet_ns:.0} ns/req \
-         per-packet planned — speedup {pdp_batched_speedup:.3}x"
-    );
-    println!(
-        "pdp 64-pt: planned {pdp64_planned_ns:.0} ns/burst, unplanned {pdp64_naive_ns:.0} \
-         ns/burst — speedup {pdp64_speedup:.3}x"
-    );
-    println!(
-        "encode: pooled {encode_pooled_ns:.0} ns/reply, fresh {encode_fresh_ns:.0} ns/reply — \
-         speedup {encode_speedup:.3}x"
-    );
-    println!(
-        "end-to-end: optimized {e2e_optimized_ns:.0} ns/req, naive {e2e_naive_ns:.0} ns/req — \
-         speedup {e2e_speedup:.3}x"
-    );
+    println!("end-to-end: {e2e_ns:.0} ns/req");
     if let Some(s) = &soak {
         println!(
             "soak: {} idle connections held on the event loops — active {:.0} ns/req, \

@@ -61,8 +61,10 @@ fn main() {
     let grid = SubcarrierGrid::intel5300();
     let mut rng = StdRng::seed_from_u64(3);
     let est = PdpEstimator::new();
-    let p_los = est.pdp_of_snapshot(&los_env.sample_csi(tx, rx, &grid, &mut rng));
-    let p_nlos = est.pdp_of_snapshot(&nlos_env.sample_csi(tx, rx, &grid, &mut rng));
+    let los = los_env.sample_csi(tx, rx, &grid, &mut rng);
+    let nlos = nlos_env.sample_csi(tx, rx, &grid, &mut rng);
+    let p_los = est.delay_profile(&los).peak().power;
+    let p_nlos = est.delay_profile(&nlos).peak().power;
     println!();
     println!(
         "peak power LOS / NLOS = {:.1} dB (paper: NLOS first path 'much lower than the normal one')",

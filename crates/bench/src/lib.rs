@@ -91,16 +91,11 @@ pub fn rounds(rounds: usize) -> usize {
     }
 }
 
-/// LP-solver comparison harness shared by the `lp_scaling` bench and the
-/// `bench_json` binary: the venue-shaped constraint generator, the
-/// retained dense reference path staged the way the pre-workspace hot path
-/// staged it, and a paired min-of-rounds timer.
+/// Venue-shaped LP inputs for the `lp_scaling` bench.
 pub mod lpcmp {
     use nomloc_geometry::{HalfPlane, Point, Polygon};
-    use nomloc_lp::center::{self, CenterMethod};
-    use nomloc_lp::relax::{relax_then_center, RelaxedCenter, WeightedConstraint, KEPT_SLACK_TOL};
-    use nomloc_lp::simplex::{Program, SimplexWorkspace, Solution};
-    use nomloc_lp::LpError;
+    use nomloc_lp::center;
+    use nomloc_lp::relax::WeightedConstraint;
 
     /// Builds the constraint set a venue with `n_sites` AP sites would
     /// generate: all pairwise bisectors around a ring, plus the bounding
@@ -135,130 +130,9 @@ pub mod lpcmp {
         }
         (cs, candidates, bounds)
     }
-
-    /// The Eq. 19 relaxation LP staged as a [`Program`] and solved by the
-    /// retained dense reference path ([`Program::solve_reference`]): the
-    /// pre-rewrite hot path — free variables split as `x = x⁺ − x⁻`, a
-    /// fresh `Vec<Vec<f64>>` tableau per solve — used as the baseline side
-    /// of the speedup measurements.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the reference solver fails; the relaxation LP is always
-    /// feasible and bounded.
-    pub fn relax_reference(cs: &[WeightedConstraint]) -> Solution {
-        let n = 2 + cs.len();
-        let mut p = Program::new(n);
-        for (i, c) in cs.iter().enumerate() {
-            p.set_objective(2 + i, c.weight);
-            p.set_nonneg(2 + i);
-            let mut row = vec![0.0; n];
-            row[0] = c.halfplane.a.x;
-            row[1] = c.halfplane.a.y;
-            row[2 + i] = -1.0;
-            p.add_le(row, c.halfplane.b);
-        }
-        p.solve_reference()
-            .expect("relaxation LP is always solvable")
-    }
-
-    /// The Chebyshev-center LP over `halfplanes ∪ edges` solved cold by
-    /// the reference path — the second LP of the pre-rewrite pipeline.
-    ///
-    /// # Errors
-    ///
-    /// [`LpError::Infeasible`] when the region is empty.
-    pub fn chebyshev_reference(
-        halfplanes: &[HalfPlane],
-        edges: &[HalfPlane],
-    ) -> Result<Point, LpError> {
-        let mut p = Program::new(3);
-        p.set_objective(2, -1.0);
-        p.set_nonneg(2);
-        for h in halfplanes.iter().chain(edges) {
-            let norm = h.a.norm();
-            if norm < 1e-12 {
-                if h.b < -1e-9 {
-                    return Err(LpError::Infeasible);
-                }
-                continue;
-            }
-            p.add_le(vec![h.a.x, h.a.y, norm], h.b);
-        }
-        let s = p.solve_reference()?;
-        if s.x[2] < -1e-9 {
-            return Err(LpError::Infeasible);
-        }
-        Ok(Point::new(s.x[0], s.x[1]))
-    }
-
-    /// The full pre-rewrite relax→center pipeline on the reference solver:
-    /// relaxation, keep-filtering at [`KEPT_SLACK_TOL`], then a cold
-    /// Chebyshev solve. Mirrors what [`relax_then_center`] does through
-    /// the workspace.
-    pub fn relax_then_center_reference(
-        cs: &[WeightedConstraint],
-        candidates: usize,
-        edges: &[HalfPlane],
-    ) -> Option<Point> {
-        let s = relax_reference(cs);
-        let kept: Vec<HalfPlane> = cs[..candidates.min(cs.len())]
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| s.x[2 + i].max(0.0) <= KEPT_SLACK_TOL)
-            .map(|(_, c)| c.halfplane)
-            .collect();
-        chebyshev_reference(&kept, edges).ok()
-    }
-
-    /// The workspace-path counterpart of
-    /// [`relax_then_center_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the relaxation fails (it cannot for well-formed input).
-    pub fn relax_then_center_workspace(
-        ws: &mut SimplexWorkspace,
-        cs: &[WeightedConstraint],
-        candidates: usize,
-        bounds: &Polygon,
-        edges: &[HalfPlane],
-    ) -> RelaxedCenter {
-        relax_then_center(ws, cs, candidates, bounds, edges, CenterMethod::Chebyshev)
-            .expect("relaxation LP is always solvable")
-    }
-
-    /// Paired min-of-rounds timing: alternates one pass of `a` and one of
-    /// `b` per round so slow drift (thermal, scheduler) hits both sides
-    /// equally, then returns `(min_a_ns, min_b_ns)` over all rounds. Each
-    /// pass runs `iters` iterations and is normalized to ns per iteration.
-    pub fn paired_min_ns(
-        rounds: usize,
-        iters: usize,
-        mut a: impl FnMut(),
-        mut b: impl FnMut(),
-    ) -> (f64, f64) {
-        let mut best_a = f64::INFINITY;
-        let mut best_b = f64::INFINITY;
-        for _ in 0..rounds.max(1) {
-            let t = std::time::Instant::now();
-            for _ in 0..iters.max(1) {
-                a();
-            }
-            best_a = best_a.min(t.elapsed().as_nanos() as f64 / iters.max(1) as f64);
-
-            let t = std::time::Instant::now();
-            for _ in 0..iters.max(1) {
-                b();
-            }
-            best_b = best_b.min(t.elapsed().as_nanos() as f64 / iters.max(1) as f64);
-        }
-        (best_a, best_b)
-    }
 }
 
-/// Synthetic serving workloads shared by the `serving_throughput` bench
-/// and the `bench_json` binary.
+/// Synthetic serving workloads for the `serving_throughput` bench.
 pub mod serving {
     use nomloc_core::proximity::{ApSite, PdpReading};
     use nomloc_core::scenario::Venue;

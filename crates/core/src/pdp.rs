@@ -71,28 +71,6 @@ impl PdpScratch {
     }
 }
 
-/// `Some(n)` when `snaps` yields at least two snapshots whose CSI vectors
-/// all have the same length `n` — the precondition for lockstep batching.
-/// Anything else (zero or one snapshot, or mixed lengths) takes the scalar
-/// per-snapshot path.
-fn batchable_len<'a>(snaps: impl Iterator<Item = &'a CsiSnapshot>) -> Option<usize> {
-    let mut len = None;
-    let mut count = 0usize;
-    for s in snaps {
-        count += 1;
-        match len {
-            None => len = Some(s.h.len()),
-            Some(n) if n == s.h.len() => {}
-            _ => return None,
-        }
-    }
-    if count >= 2 {
-        len
-    } else {
-        None
-    }
-}
-
 impl PdpEstimator {
     /// Creates an estimator with the default padding.
     pub fn new() -> Self {
@@ -103,33 +81,6 @@ impl PdpEstimator {
     pub fn with_window(mut self, window: Window) -> Self {
         self.window = window;
         self
-    }
-
-    /// Per-packet PDP: maximum power of the delay profile of one snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the snapshot has no subcarriers (cannot happen for grids
-    /// built by `SubcarrierGrid`).
-    pub fn pdp_of_snapshot(&self, snapshot: &CsiSnapshot) -> f64 {
-        self.pdp_of_snapshot_with(snapshot, &mut PdpScratch::new())
-    }
-
-    /// [`PdpEstimator::pdp_of_snapshot`] against caller-provided scratch.
-    ///
-    /// Value-identical to the allocating variant: the taper is bit-identical
-    /// ([`Window::apply_into`]) and the peak fold matches
-    /// `DelayProfile::peak` including tie-break order.
-    pub fn pdp_of_snapshot_with(&self, snapshot: &CsiSnapshot, scratch: &mut PdpScratch) -> f64 {
-        let n = snapshot.h.len();
-        let bandwidth = snapshot.grid.mean_spacing_hz() * n as f64;
-        self.window.apply_into(&snapshot.h, &mut scratch.tapered);
-        DelayProfile::peak_power_from_csi_with(
-            &scratch.tapered,
-            bandwidth,
-            self.min_taps,
-            &mut scratch.ifft,
-        )
     }
 
     /// Burst PDP: median of per-packet PDPs.
@@ -145,32 +96,19 @@ impl PdpEstimator {
     /// zero steady-state allocation across bursts. Value-identical to the
     /// allocating variant (`median_in_place` replicates `median` exactly).
     ///
-    /// A burst of ≥2 same-length snapshots runs through the batched SoA
-    /// kernel — one lockstep IFFT traversal for the whole burst — which is
-    /// bit-identical per packet to the scalar path (see
-    /// [`DelayProfile::peak_powers_from_batch_with`]); mixed-length bursts
-    /// fall back to the per-snapshot kernel.
+    /// Every packet's peak comes from the batched SoA kernel (see
+    /// [`PdpEstimator::pdp_of_bursts_with`]), which is bit-identical per
+    /// packet to `delay_profile(..).peak().power`.
     pub fn pdp_of_burst_with(
         &self,
         burst: &[CsiSnapshot],
         scratch: &mut PdpScratch,
     ) -> Option<f64> {
         // Detach the per-packet buffer so `scratch` stays borrowable for
-        // the per-snapshot calls; reattach before returning.
+        // the batched dispatches; reattach before returning.
         let mut per_packet = std::mem::take(&mut scratch.per_packet);
         per_packet.clear();
-        if let Some(n) = batchable_len(burst.iter()) {
-            let mut it = burst.iter();
-            self.batch_peaks(
-                burst.len(),
-                n,
-                || it.next().expect("cursor within burst"),
-                scratch,
-                &mut per_packet,
-            );
-        } else {
-            per_packet.extend(burst.iter().map(|s| self.pdp_of_snapshot_with(s, scratch)));
-        }
+        self.batch_peaks(burst.iter(), scratch, &mut per_packet);
         let result = stats::median_in_place(&mut per_packet);
         scratch.per_packet = per_packet;
         result
@@ -179,13 +117,11 @@ impl PdpEstimator {
     /// Burst PDPs of many reports in one pass: `out[i]` is exactly
     /// [`PdpEstimator::pdp_of_burst_with`]`(bursts[i])`.
     ///
-    /// When every snapshot across every burst has the same CSI length, the
-    /// whole set is flattened into lane-major chunks of up to
-    /// `MAX_BATCH_LANES` lanes and run through the batched kernel —
-    /// cross-report batching fills far more vector lanes than any single
-    /// burst (the serving workload has 2-packet bursts but 8+ snapshots per
-    /// request). The flat peak sequence is then segmented back per burst
-    /// for the median. Mixed-length inputs fall back per burst.
+    /// Every snapshot across every burst is flattened into one sequence
+    /// and run through the batched kernel, so cross-report batching fills
+    /// far more vector lanes than any single burst (the serving workload
+    /// has 2-packet bursts but 8+ snapshots per request). The flat peak
+    /// sequence is then segmented back per burst for the median.
     pub fn pdp_of_bursts_with(
         &self,
         bursts: &[&[CsiSnapshot]],
@@ -193,29 +129,9 @@ impl PdpEstimator {
         out: &mut Vec<Option<f64>>,
     ) {
         out.clear();
-        let total: usize = bursts.iter().map(|b| b.len()).sum();
-        let Some(n) = batchable_len(bursts.iter().flat_map(|b| b.iter())) else {
-            out.extend(bursts.iter().map(|b| self.pdp_of_burst_with(b, scratch)));
-            return;
-        };
         let mut flat = std::mem::take(&mut scratch.per_packet);
         flat.clear();
-        let (mut bi, mut si) = (0usize, 0usize);
-        self.batch_peaks(
-            total,
-            n,
-            || {
-                while bursts[bi].len() == si {
-                    bi += 1;
-                    si = 0;
-                }
-                let snap = &bursts[bi][si];
-                si += 1;
-                snap
-            },
-            scratch,
-            &mut flat,
-        );
+        self.batch_peaks(bursts.iter().flat_map(|b| b.iter()), scratch, &mut flat);
         let mut start = 0;
         for burst in bursts {
             let end = start + burst.len();
@@ -225,28 +141,31 @@ impl PdpEstimator {
         scratch.per_packet = flat;
     }
 
-    /// Packs `total` snapshots of CSI length `n` (produced by `next`, in
-    /// order) into lane-major chunks and appends one peak power per
-    /// snapshot to `out` via the batched kernel.
+    /// Appends one peak power per snapshot of `snaps` to `out`, in order.
     ///
-    /// Mirrors the scalar path's validation panics per snapshot ("CSI must
-    /// not be empty", "bandwidth must be positive") before transforming.
+    /// The sequence is cut into maximal runs of equal CSI length, and each
+    /// run into lane-major chunks of at most `MAX_BATCH_LANES` lanes; every
+    /// chunk, a single snapshot included, is one dispatch of the batched
+    /// kernel. Mirrors [`DelayProfile::from_csi`]'s validation panics per
+    /// snapshot ("CSI must not be empty", "bandwidth must be positive")
+    /// before transforming.
     fn batch_peaks<'a>(
         &self,
-        total: usize,
-        n: usize,
-        mut next: impl FnMut() -> &'a CsiSnapshot,
+        mut snaps: impl Iterator<Item = &'a CsiSnapshot> + Clone,
         scratch: &mut PdpScratch,
         out: &mut Vec<f64>,
     ) {
-        let padded = fft::padded_len(n, self.min_taps);
-        let mut done = 0usize;
-        while done < total {
-            let lanes = MAX_BATCH_LANES.min(total - done);
+        while let Some(first) = snaps.clone().next() {
+            let n = first.h.len();
+            let lanes = snaps
+                .clone()
+                .take(MAX_BATCH_LANES)
+                .take_while(|s| s.h.len() == n)
+                .count();
+            let padded = fft::padded_len(n, self.min_taps);
             with_thread_batch_plan(padded, |plan| {
                 scratch.soa.reset(padded * lanes);
-                for lane in 0..lanes {
-                    let snap = next();
+                for (lane, snap) in snaps.by_ref().take(lanes).enumerate() {
                     assert!(!snap.h.is_empty(), "CSI must not be empty");
                     let bandwidth = snap.grid.mean_spacing_hz() * n as f64;
                     assert!(bandwidth > 0.0, "bandwidth must be positive");
@@ -266,7 +185,6 @@ impl PdpEstimator {
                 );
             });
             out.extend_from_slice(&scratch.lane_peaks);
-            done += lanes;
         }
     }
 
@@ -334,6 +252,16 @@ mod tests {
         ))
         .build();
         Environment::new(plan, RadioConfig::default())
+    }
+
+    /// The per-snapshot oracle: median of each snapshot's delay-profile
+    /// peak, computed by the materializing scalar path.
+    fn oracle_burst(est: &PdpEstimator, burst: &[CsiSnapshot]) -> Option<f64> {
+        let mut peaks: Vec<f64> = burst
+            .iter()
+            .map(|s| est.delay_profile(s).peak().power)
+            .collect();
+        stats::median_in_place(&mut peaks)
     }
 
     fn walled_env() -> Environment {
@@ -457,9 +385,8 @@ mod tests {
 
     #[test]
     fn scratch_variants_match_allocating() {
-        // One scratch reused across snapshots, bursts, and arrays of
-        // different shapes — every result must equal the allocating call
-        // exactly.
+        // One scratch reused across bursts and arrays of different shapes
+        // — every result must equal the allocating call exactly.
         let env = open_env();
         let est = PdpEstimator::new().with_window(Window::Hann);
         let grid = SubcarrierGrid::intel5300();
@@ -469,11 +396,6 @@ mod tests {
         for (i, n_packets) in [(0usize, 3usize), (1, 7), (2, 1), (3, 4)] {
             let rx = Point::new(4.0 + 3.0 * i as f64, 6.0);
             let burst = env.sample_csi_burst(tx, rx, &grid, n_packets, &mut rng);
-            assert_eq!(
-                est.pdp_of_snapshot_with(&burst[0], &mut scratch),
-                est.pdp_of_snapshot(&burst[0]),
-                "snapshot {i}"
-            );
             assert_eq!(
                 est.pdp_of_burst_with(&burst, &mut scratch),
                 est.pdp_of_burst(&burst),
@@ -490,16 +412,17 @@ mod tests {
 
     #[test]
     fn batched_burst_matches_per_snapshot_oracle() {
-        // pdp_of_burst_with batches uniform bursts; the per-snapshot path
-        // (still exercised via pdp_of_snapshot_with) is the oracle. Every
-        // window, because the taper is applied before lane packing.
+        // pdp_of_burst_with runs every packet through the batched kernel,
+        // a single-packet burst included; the materialized delay profile's
+        // peak is the oracle. Every window, because the taper is applied
+        // before lane packing.
         let env = open_env();
         let grid = SubcarrierGrid::intel5300();
         let mut rng = StdRng::seed_from_u64(21);
         for window in [Window::Rectangular, Window::Hann, Window::Blackman] {
             let est = PdpEstimator::new().with_window(window);
             let mut scratch = PdpScratch::new();
-            for n_packets in [2usize, 3, 16, 17, 33] {
+            for n_packets in [1usize, 2, 3, 16, 17, 33] {
                 let burst = env.sample_csi_burst(
                     Point::new(2.0, 3.0),
                     Point::new(14.0, 8.0),
@@ -508,12 +431,7 @@ mod tests {
                     &mut rng,
                 );
                 let batched = est.pdp_of_burst_with(&burst, &mut scratch);
-                let mut oracle_scratch = PdpScratch::new();
-                let mut peaks: Vec<f64> = burst
-                    .iter()
-                    .map(|s| est.pdp_of_snapshot_with(s, &mut oracle_scratch))
-                    .collect();
-                let oracle = stats::median_in_place(&mut peaks);
+                let oracle = oracle_burst(&est, &burst);
                 assert_eq!(batched, oracle, "{window:?} n_packets={n_packets}");
             }
         }
@@ -551,38 +469,49 @@ mod tests {
 
     #[test]
     fn mixed_length_bursts_fall_back_identically() {
-        // Snapshots of different CSI lengths cannot share a lockstep batch;
-        // the fallback must still equal the allocating per-burst path.
+        // Snapshots of different CSI lengths cannot share a lockstep batch:
+        // the flattened sequence is cut into runs of equal length, each run
+        // batched on its own. Every result must equal the per-snapshot
+        // oracle — including interleaved lengths, where a splitter that
+        // only looked at the first snapshot's length would mis-scale the
+        // others.
         let env = open_env();
         let est = PdpEstimator::new();
         let mut rng = StdRng::seed_from_u64(23);
         let tx = Point::new(2.0, 2.0);
-        let a = env.sample_csi_burst(
-            tx,
-            Point::new(8.0, 6.0),
-            &SubcarrierGrid::intel5300(),
-            2,
-            &mut rng,
-        );
-        let b = env.sample_csi_burst(
-            tx,
-            Point::new(12.0, 6.0),
-            &SubcarrierGrid::full_80211n_20mhz(),
-            3,
-            &mut rng,
-        );
-        // Mixed across reports → per-burst fallback (each burst itself
-        // uniform, so still batched internally).
+        let intel = SubcarrierGrid::intel5300();
+        let full = SubcarrierGrid::full_80211n_20mhz();
+        let a = env.sample_csi_burst(tx, Point::new(8.0, 6.0), &intel, 2, &mut rng);
+        let b = env.sample_csi_burst(tx, Point::new(12.0, 6.0), &full, 3, &mut rng);
+        let c = env.sample_csi_burst(tx, Point::new(16.0, 6.0), &intel, 2, &mut rng);
+        assert_ne!(a[0].h.len(), b[0].h.len());
+
+        // Mixed across reports, each burst uniform.
         let bursts: Vec<&[CsiSnapshot]> = vec![&a, &b];
         let mut scratch = PdpScratch::new();
         let mut got = Vec::new();
         est.pdp_of_bursts_with(&bursts, &mut scratch, &mut got);
+        assert_eq!(got, vec![oracle_burst(&est, &a), oracle_burst(&est, &b)]);
         assert_eq!(got, vec![est.pdp_of_burst(&a), est.pdp_of_burst(&b)]);
-        // Mixed within one burst → per-snapshot fallback.
+
+        // Mixed within one burst, in one run per length (A then B) and
+        // interleaved (A, B, A).
         let mut mixed = a.clone();
         mixed.extend(b.iter().cloned());
-        let batched = est.pdp_of_burst_with(&mixed, &mut scratch);
-        assert_eq!(batched, est.pdp_of_burst(&mixed));
+        let mut interleaved = a.clone();
+        interleaved.extend(b.iter().cloned());
+        interleaved.extend(c.iter().cloned());
+        for burst in [&mixed, &interleaved] {
+            let batched = est.pdp_of_burst_with(burst, &mut scratch);
+            assert_eq!(batched, oracle_burst(&est, burst));
+            assert_eq!(batched, est.pdp_of_burst(burst));
+        }
+
+        // A mixed burst between two uniform ones of the other length.
+        let bursts: Vec<&[CsiSnapshot]> = vec![&b, &interleaved, &b];
+        est.pdp_of_bursts_with(&bursts, &mut scratch, &mut got);
+        let oracle: Vec<Option<f64>> = bursts.iter().map(|b| oracle_burst(&est, b)).collect();
+        assert_eq!(got, oracle);
     }
 
     #[test]
@@ -592,8 +521,10 @@ mod tests {
         let grid = SubcarrierGrid::intel5300();
         let mut rng = StdRng::seed_from_u64(5);
         let snap = env.sample_csi(Point::new(2.0, 2.0), Point::new(10.0, 8.0), &grid, &mut rng);
+        // A one-packet burst is a one-lane dispatch of the batched kernel.
         let profile = est.delay_profile(&snap);
-        assert_eq!(profile.peak().power, est.pdp_of_snapshot(&snap));
+        let pdp = est.pdp_of_burst(std::slice::from_ref(&snap));
+        assert_eq!(Some(profile.peak().power), pdp);
     }
 
     #[test]

@@ -96,50 +96,6 @@ pub fn fft_radix2(buf: &mut [Complex], inverse: bool) {
     crate::plan::with_thread_plan(n, |plan| plan.process(buf, inverse));
 }
 
-/// The pre-plan iterative radix-2 kernel, kept as a benchmark baseline and
-/// accuracy reference: it recomputes the bit-reversal permutation per call
-/// and accumulates twiddles by repeated multiplication (`w *= wlen`),
-/// which drifts by one rounding error per butterfly.
-///
-/// Semantics match the planned kernel: in-place, no inverse normalization.
-pub fn fft_radix2_unplanned(buf: &mut [Complex], inverse: bool) {
-    let n = buf.len();
-    debug_assert!(n.is_power_of_two());
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            buf.swap(i, j);
-        }
-    }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * PI / len as f64;
-        let wlen = Complex::cis(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Complex::ONE;
-            for k in 0..len / 2 {
-                let u = buf[start + k];
-                let v = buf[start + k + len / 2] * w;
-                buf[start + k] = u + v;
-                buf[start + k + len / 2] = u - v;
-                w *= wlen;
-            }
-        }
-        len <<= 1;
-    }
-}
-
 /// Bluestein's chirp-z algorithm: DFT of arbitrary N via a power-of-two
 /// convolution. No inverse normalization applied here.
 fn bluestein(x: &[Complex], inverse: bool) -> Vec<Complex> {
@@ -215,20 +171,6 @@ pub fn ifft_padded_into(x: &[Complex], min_len: usize, out: &mut Vec<Complex>) {
     }
 }
 
-/// [`ifft_padded_into`] running the unplanned kernel. Benchmark baseline for
-/// the planned path; not used on the serving hot path.
-pub fn ifft_padded_into_unplanned(x: &[Complex], min_len: usize, out: &mut Vec<Complex>) {
-    let target = padded_len(x.len(), min_len);
-    out.clear();
-    out.extend_from_slice(x);
-    out.resize(target, Complex::ZERO);
-    fft_radix2_unplanned(out, true);
-    let scale = 1.0 / target as f64;
-    for v in out.iter_mut() {
-        *v = v.scale(scale);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,6 +193,64 @@ mod tests {
                 Complex::new((0.3 * t).sin() + 0.1 * t, (0.7 * t).cos() - 0.05 * t)
             })
             .collect()
+    }
+
+    /// The pre-plan iterative radix-2 kernel, the accuracy reference for
+    /// the planned one: it recomputes the bit-reversal permutation per call
+    /// and accumulates twiddles by repeated multiplication (`w *= wlen`),
+    /// which drifts by one rounding error per butterfly.
+    ///
+    /// Semantics match the planned kernel: in-place, no inverse
+    /// normalization.
+    fn fft_radix2_unplanned(buf: &mut [Complex], inverse: bool) {
+        let n = buf.len();
+        debug_assert!(n.is_power_of_two());
+        if n <= 1 {
+            return;
+        }
+        // Bit-reversal permutation.
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                buf.swap(i, j);
+            }
+        }
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * PI / len as f64;
+            let wlen = Complex::cis(ang);
+            for start in (0..n).step_by(len) {
+                let mut w = Complex::ONE;
+                for k in 0..len / 2 {
+                    let u = buf[start + k];
+                    let v = buf[start + k + len / 2] * w;
+                    buf[start + k] = u + v;
+                    buf[start + k + len / 2] = u - v;
+                    w *= wlen;
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    /// [`ifft_padded_into`] running [`fft_radix2_unplanned`].
+    fn ifft_padded_into_unplanned(x: &[Complex], min_len: usize, out: &mut Vec<Complex>) {
+        let target = padded_len(x.len(), min_len);
+        out.clear();
+        out.extend_from_slice(x);
+        out.resize(target, Complex::ZERO);
+        fft_radix2_unplanned(out, true);
+        let scale = 1.0 / target as f64;
+        for v in out.iter_mut() {
+            *v = v.scale(scale);
+        }
     }
 
     #[test]

@@ -104,43 +104,8 @@ impl DelayProfile {
         }
     }
 
-    /// The peak tap power of [`DelayProfile::from_csi_with`] without
-    /// materializing the profile: the tap powers are folded into a running
-    /// maximum as they are computed, so the per-packet hot path performs no
-    /// allocation beyond the reused IFFT scratch.
-    ///
-    /// Value-identical to `from_csi_with(..).peak().power` — each power is
-    /// the same `(h · gain)` norm and the fold uses the same `total_cmp`
-    /// order with later ties winning, exactly like
-    /// [`DelayProfile::peak`]'s `max_by`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `csi` is empty or `bandwidth` is not positive.
-    pub fn peak_power_from_csi_with(
-        csi: &[Complex],
-        bandwidth: f64,
-        min_taps: usize,
-        scratch: &mut Vec<Complex>,
-    ) -> f64 {
-        assert!(!csi.is_empty(), "CSI must not be empty");
-        assert!(bandwidth > 0.0, "bandwidth must be positive");
-        fft::ifft_padded_into(csi, min_taps, scratch);
-        let gain = scratch.len() as f64 / csi.len() as f64;
-        let mut taps = scratch.iter();
-        let first = taps.next().expect("padded IFFT output is never empty");
-        let mut best = (*first * gain).norm_sq();
-        for h in taps {
-            let power = (*h * gain).norm_sq();
-            if power.total_cmp(&best) != std::cmp::Ordering::Less {
-                best = power;
-            }
-        }
-        best
-    }
-
-    /// Batched [`DelayProfile::peak_power_from_csi_with`]: one peak tap
-    /// power per lane of a lane-major batch of same-length CSI rows.
+    /// Batched `from_csi_with(..).peak().power`: one peak tap power per
+    /// lane of a lane-major batch of same-length CSI rows.
     ///
     /// The caller packs `lanes` CSI rows of original length `csi_len` into
     /// `buf` via [`SoaComplex::reset`] (to `plan.len() * lanes` zeros — the
@@ -152,8 +117,8 @@ impl DelayProfile {
     ///
     /// Bit-identical per lane to the scalar path: the batched kernel
     /// performs the scalar kernel's float ops in the same per-lane order,
-    /// and the fold uses the same `(h · gain)` norm and `total_cmp`
-    /// tie-break (later ties win).
+    /// and the fold uses the same `(h · gain)` norm and the same
+    /// `total_cmp` order as [`DelayProfile::peak`] (later ties win).
     ///
     /// # Panics
     ///
@@ -389,19 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_power_from_csi_with_matches_profile_peak() {
-        let bw = 20e6;
-        let mut scratch = vec![Complex::new(3.0, 3.0); 9]; // dirty, wrong size
-        for (n, min_taps) in [(30usize, 256usize), (30, 64), (16, 16), (56, 128), (1, 1)] {
-            let csi = two_path_csi(n, bw, 80e-9, 1.0, 350e-9, 0.5);
-            let profile = DelayProfile::from_csi(&csi, bw, min_taps);
-            let fused = DelayProfile::peak_power_from_csi_with(&csi, bw, min_taps, &mut scratch);
-            // Value-identical: same powers, same tie-break order.
-            assert_eq!(fused, profile.peak().power, "n={n} min_taps={min_taps}");
-        }
-    }
-
-    #[test]
     fn batched_peaks_match_scalar_bit_for_bit() {
         let bw = 20e6;
         for (n, min_taps) in [(30usize, 256usize), (30, 64), (16, 16), (56, 128), (1, 1)] {
@@ -429,8 +381,9 @@ mod tests {
             DelayProfile::peak_powers_from_batch_with(&plan, &mut buf, lanes, n, &mut peaks);
             let mut scratch = Vec::new();
             for (l, row) in rows.iter().enumerate() {
-                let scalar =
-                    DelayProfile::peak_power_from_csi_with(row, bw, min_taps, &mut scratch);
+                let scalar = DelayProfile::from_csi_with(row, bw, min_taps, &mut scratch)
+                    .peak()
+                    .power;
                 assert_eq!(peaks[l], scalar, "n={n} min_taps={min_taps} lane={l}");
             }
         }

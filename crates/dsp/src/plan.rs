@@ -1,10 +1,11 @@
 //! Precomputed FFT plans and a per-thread plan cache.
 //!
-//! The iterative radix-2 kernel in [`crate::fft`] recomputes the bit-reversal
-//! permutation on every call and generates twiddle factors by repeated
-//! complex multiplication (`w *= wlen`), which both wastes work and
-//! accumulates one rounding error per butterfly. An [`FftPlan`] does that
-//! work once per transform size: the swap pairs of the bit-reversal
+//! A plain iterative radix-2 kernel recomputes the bit-reversal permutation
+//! on every call and generates twiddle factors by repeated complex
+//! multiplication (`w *= wlen`), which both wastes work and accumulates one
+//! rounding error per butterfly (the test module of [`crate::fft`] keeps
+//! such a kernel as its accuracy reference). An [`FftPlan`] does that work
+//! once per transform size: the swap pairs of the bit-reversal
 //! permutation and a per-stage twiddle table whose entries are each computed
 //! directly as `e^{±j2πk/len}` — no accumulated drift.
 //!
@@ -93,7 +94,7 @@ impl FftPlan {
     }
 
     /// Runs the raw in-place transform *without* inverse normalization,
-    /// matching the semantics of the module-private radix-2 kernel.
+    /// matching the semantics of [`crate::fft::fft_radix2`].
     ///
     /// # Panics
     ///

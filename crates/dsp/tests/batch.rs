@@ -155,8 +155,9 @@ proptest! {
         seed in 0u64..500,
     ) {
         // The full batched PDP reduction (pad → lockstep IFFT → gain →
-        // max-tap fold) against the retained scalar kernel, which itself is
-        // oracle-locked to DelayProfile::from_csi. Bit-identity per lane.
+        // max-tap fold) against the scalar profile's peak tap
+        // (DelayProfile::from_csi_with(..).peak().power). Bit-identity per
+        // lane.
         let min_taps = 1usize << min_log2;
         let rows = seeded_rows(csi_len, lanes, seed);
         let padded = fft::padded_len(csi_len, min_taps);
@@ -171,8 +172,9 @@ proptest! {
         prop_assert_eq!(peaks.len(), lanes);
         let mut scratch = Vec::new();
         for (l, row) in rows.iter().enumerate() {
-            let scalar =
-                DelayProfile::peak_power_from_csi_with(row, 20e6, min_taps, &mut scratch);
+            let scalar = DelayProfile::from_csi_with(row, 20e6, min_taps, &mut scratch)
+                .peak()
+                .power;
             prop_assert_eq!(peaks[l], scalar, "lane {} of {}", l, lanes);
         }
     }

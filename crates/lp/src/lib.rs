@@ -53,6 +53,9 @@ pub mod center;
 pub mod relax;
 pub mod simplex;
 
+#[cfg(test)]
+mod equivalence;
+
 use std::fmt;
 
 /// Errors produced by the LP solvers.

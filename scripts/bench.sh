@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Quick benchmark pass: runs the LP-scaling and serving-throughput benches
 # in quick mode (NOMLOC_BENCH_QUICK clamps the criterion shim's sampling
-# budget and shrinks the paired min-of-rounds loops), then regenerates the
-# machine-readable BENCH_lp.json via the bench_json binary.
+# budget and shrinks the min-of-rounds loops), then regenerates the
+# machine-readable BENCH_serving.json via the bench_serving_json binary.
 #
 # Usage: scripts/bench.sh [--full]
 #   --full   drop the quick clamp and run the complete sampling budget
@@ -21,13 +21,8 @@ cargo bench -p nomloc-bench --bench lp_scaling --offline
 echo "==> cargo bench serving_throughput${NOMLOC_BENCH_QUICK:+ (quick)}"
 cargo bench -p nomloc-bench --bench serving_throughput --offline
 
-echo "==> bench_json -> BENCH_lp.json"
-cargo run --release -p nomloc-bench --bin bench_json --offline
-
 echo "==> bench_serving_json -> BENCH_serving.json"
 cargo run --release -p nomloc-bench --bin bench_serving_json --offline
-fft_speedup=$(sed -n 's/.*"fft": {[^}]*"speedup": \([0-9.]*\).*/\1/p' BENCH_serving.json)
-echo "planned vs naive FFT speedup: ${fft_speedup}x (256-point kernel)"
 
 # Multi-venue registry overhead: per-request cost with 1 vs 100 live
 # venues (identical geometry, so the delta is registry + venue-sharding).

@@ -99,7 +99,7 @@ if [[ ! -s BENCH_serving.json ]]; then
   echo "error: BENCH_serving.json missing or empty" >&2
   exit 1
 fi
-for key in stages fft pdp_64 pdp_batched encode end_to_end speedup decode_ns_per_request soak venues dispatch sessions; do
+for key in stages end_to_end decode_ns_per_request soak venues dispatch sessions; do
   if ! grep -q "\"$key\"" BENCH_serving.json; then
     echo "error: BENCH_serving.json malformed — missing key \"$key\"" >&2
     exit 1

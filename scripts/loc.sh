@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Non-test line counts: every .rs file under crates/*/src and src/, cut at
 # its in-file `#[cfg(test)]` module (the first `#[cfg(test)]` line followed
-# by a `mod` line). Integration tests, benches and examples are not counted.
+# by a `mod name {` line). A file declared as `#[cfg(test)] mod name;` (the
+# attribute line, then the declaration) is test code as a whole and counts
+# 0, as does every file below its module directory. Integration tests,
+# benches and examples are not counted.
 #
 # Usage: scripts/loc.sh [FILE...]
 #   no arguments   one line per crate (the root package is `src`), then a total
@@ -9,13 +12,46 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Prints the module names a file declares as `#[cfg(test)] mod name;`.
+test_mods() {
+  awk '
+    prev ~ /^[ \t]*#\[cfg\(test\)\]/ && $0 ~ /^[ \t]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;/ {
+      name = $0
+      sub(/^[ \t]*(pub(\([a-z]+\))? )?mod /, "", name)
+      sub(/;.*/, "", name)
+      print name
+    }
+    { prev = $0 }
+  ' "$1"
+}
+
+# Test-only module paths, one per line, without the `.rs`: `dir/name` stands
+# for `dir/name.rs`, `dir/name/mod.rs` and everything under `dir/name/`.
+test_only=()
+while IFS= read -r f; do
+  case "$f" in
+    */lib.rs | */main.rs | */mod.rs) dir="$(dirname "$f")" ;;
+    *) dir="${f%.rs}" ;;
+  esac
+  while IFS= read -r m; do
+    test_only+=("$dir/$m")
+  done < <(test_mods "$f")
+done < <(find crates/*/src src -name '*.rs' | sort)
+
 # Prints the non-test line count of one file.
 count() {
+  local f="${1#./}" t
+  for t in ${test_only[@]+"${test_only[@]}"}; do
+    if [[ "$f" == "$t.rs" || "$f" == "$t/"* ]]; then
+      echo 0
+      return
+    fi
+  done
   awk '
-    prev ~ /^#\[cfg\(test\)\]/ && $0 ~ /^(pub(\([a-z]+\))? )?mod / { n--; exit }
+    prev ~ /^#\[cfg\(test\)\]/ && $0 ~ /^(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ *\{/ { n--; exit }
     { n++; prev = $0 }
     END { print n + 0 }
-  ' "$1"
+  ' "$f"
 }
 
 if [[ $# -gt 0 ]]; then
