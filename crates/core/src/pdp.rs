@@ -8,16 +8,17 @@
 
 use nomloc_dsp::pdp::DelayProfile;
 use nomloc_dsp::plan::with_thread_batch_plan;
-use nomloc_dsp::{fft, stats, Complex, SoaComplex, Window};
+use nomloc_dsp::{batch, fft, stats, Complex, SoaComplex, Window};
 use nomloc_rfsim::CsiSnapshot;
 
-/// Maximum lanes per batched IFFT dispatch.
+/// Maximum lanes per batched IFFT dispatch: the widest batch the
+/// zero-pruned kernel takes.
 ///
-/// Bounds the lane-major working set (`padded_len × lanes × 16 B`) so a
-/// chunk stays cache-resident: at the default 256-tap padding, 16 lanes is
-/// 64 KiB of split-complex data. The serving workload's 4 APs × 2 packets
-/// fit in one chunk; larger crowds just take more dispatches.
-const MAX_BATCH_LANES: usize = 16;
+/// Also bounds the lane-major working set (`padded_len × lanes × 16 B`):
+/// at the default 256-tap padding, 8 lanes is 32 KiB of split-complex
+/// data, inside L1d. The serving workload's 4 APs × 2 packets fit in one
+/// chunk; larger crowds just take more dispatches.
+const MAX_BATCH_LANES: usize = batch::MAX_LANES;
 
 /// Configuration of the PDP estimator.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +46,8 @@ impl Default for PdpEstimator {
 /// Reusable scratch buffers for PDP extraction.
 ///
 /// Holds every intermediate the estimator needs — the windowed CSI, the
-/// delay-domain IFFT output, and the per-packet PDPs of a burst — so that
+/// delay-domain IFFT output, the batched kernel's seed and work buffers,
+/// and the per-packet PDPs of a burst — so that
 /// after the first burst of a given shape the `_with` variants below run
 /// with zero steady-state allocation. One scratch per thread; the serving
 /// path keeps one in a thread-local on each batcher thread.
@@ -53,12 +55,15 @@ impl Default for PdpEstimator {
 pub struct PdpScratch {
     /// Delay-domain IFFT buffer (see [`DelayProfile::from_csi_with`]).
     ifft: Vec<Complex>,
-    /// Windowed CSI ahead of the IFFT.
+    /// Windowed CSI ahead of the IFFT (unused by a rectangular window).
     tapered: Vec<Complex>,
     /// Per-packet PDPs of the burst currently being aggregated.
     per_packet: Vec<f64>,
-    /// Lane-major split-complex buffer for batched IFFT dispatches.
-    soa: SoaComplex,
+    /// Lane-major seed rows of the batched dispatch in flight (see
+    /// `BatchFftPlan::scatter_seeds`).
+    seeds: SoaComplex,
+    /// Lane-major work buffer of the zero-pruned inverse.
+    work: SoaComplex,
     /// Per-lane peak powers of the batched dispatch in flight.
     lane_peaks: Vec<f64>,
 }
@@ -144,11 +149,14 @@ impl PdpEstimator {
     /// Appends one peak power per snapshot of `snaps` to `out`, in order.
     ///
     /// The sequence is cut into maximal runs of equal CSI length, and each
-    /// run into lane-major chunks of at most `MAX_BATCH_LANES` lanes; every
-    /// chunk, a single snapshot included, is one dispatch of the batched
-    /// kernel. Mirrors [`DelayProfile::from_csi`]'s validation panics per
-    /// snapshot ("CSI must not be empty", "bandwidth must be positive")
-    /// before transforming.
+    /// run into lane-major chunks of 8, 4, 2 or 1 lanes (the widest that
+    /// fits what is left of the run, up to `MAX_BATCH_LANES`); every
+    /// chunk, a single snapshot included, is one dispatch of the
+    /// zero-pruned, peak-fused kernel
+    /// ([`DelayProfile::peak_powers_from_seeds`]). Mirrors
+    /// [`DelayProfile::from_csi`]'s validation panics per snapshot ("CSI
+    /// must not be empty", "bandwidth must be positive") before
+    /// transforming.
     fn batch_peaks<'a>(
         &self,
         mut snaps: impl Iterator<Item = &'a CsiSnapshot> + Clone,
@@ -157,28 +165,36 @@ impl PdpEstimator {
     ) {
         while let Some(first) = snaps.clone().next() {
             let n = first.h.len();
-            let lanes = snaps
+            let run = snaps
                 .clone()
                 .take(MAX_BATCH_LANES)
                 .take_while(|s| s.h.len() == n)
                 .count();
+            // The kernel is compiled for power-of-two widths only.
+            let lanes = 1 << run.ilog2();
             let padded = fft::padded_len(n, self.min_taps);
             with_thread_batch_plan(padded, |plan| {
-                scratch.soa.reset(padded * lanes);
+                // Every seed row of every lane is written below, so a
+                // resize (no zero fill) is enough.
+                scratch.seeds.resize(n.next_power_of_two() * lanes);
                 for (lane, snap) in snaps.by_ref().take(lanes).enumerate() {
                     assert!(!snap.h.is_empty(), "CSI must not be empty");
                     let bandwidth = snap.grid.mean_spacing_hz() * n as f64;
                     assert!(bandwidth > 0.0, "bandwidth must be positive");
-                    self.window.apply_into(&snap.h, &mut scratch.tapered);
-                    // Scatter each tapered row straight into bit-reversed
-                    // positions so the batched inverse can skip its swap
-                    // traversal (rows past the CSI length stay zero from
-                    // the reset — zeros are permutation-invariant).
-                    plan.scatter_lane(&mut scratch.soa, lane, lanes, &scratch.tapered);
+                    // A rectangular window is the identity: scatter the
+                    // CSI itself rather than a copy.
+                    let row = if self.window == Window::Rectangular {
+                        &snap.h
+                    } else {
+                        self.window.apply_into(&snap.h, &mut scratch.tapered);
+                        &scratch.tapered
+                    };
+                    plan.scatter_seeds(&mut scratch.seeds, lane, lanes, row);
                 }
-                DelayProfile::peak_powers_from_prepermuted_batch_with(
+                DelayProfile::peak_powers_from_seeds(
                     plan,
-                    &mut scratch.soa,
+                    &scratch.seeds,
+                    &mut scratch.work,
                     lanes,
                     n,
                     &mut scratch.lane_peaks,
@@ -550,5 +566,74 @@ mod tests {
             (peak_delay - true_delay).abs() < 3.0 * profile.tap_spacing(),
             "peak at {peak_delay:.2e}s, true {true_delay:.2e}s"
         );
+    }
+
+    /// A snapshot of `n` subcarriers whose CSI is finite, all zero, or
+    /// carries NaN/±infinity/overflowing coefficients, by `kind`.
+    fn hostile_snapshot(n: usize, kind: usize) -> CsiSnapshot {
+        let grid = SubcarrierGrid::new((0..n).map(|k| k as f64 * 312.5e3).collect());
+        let mut h: Vec<Complex> = (0..n)
+            .map(|k| {
+                let t = (k + 3 * kind) as f64;
+                Complex::new((0.41 * t).sin(), (0.29 * t).cos() - 0.2)
+            })
+            .collect();
+        let at = (5 * kind + 1) % n;
+        match kind % 7 {
+            0 => {}
+            1 => h.iter_mut().for_each(|z| *z = Complex::ZERO),
+            2 => h[at].re = f64::NAN,
+            3 => h[at].im = f64::INFINITY,
+            4 => h[at] = Complex::new(f64::NEG_INFINITY, f64::NAN),
+            5 => h[n - 1 - at].re = -f64::NAN,
+            _ => h.iter_mut().for_each(|z| *z = Complex::new(-1e308, 1e308)),
+        }
+        CsiSnapshot { h, grid }
+    }
+
+    #[test]
+    fn hostile_csi_peaks_match_profile_peak_bits() {
+        // NaN, ±infinity, overflow and all-zero CSI reach the kernel
+        // unchecked from the wire. Per snapshot, every batched peak has the
+        // bits of the materialized profile's peak — runs of 1..=16
+        // snapshots of each length (cut into chunks of every kernel width),
+        // and mixed-length bursts cut into runs.
+        let lens = [1usize, 2, 3, 17, 30, 31, 32, 33, 64, 200, 256, 300];
+        let mut scratch = PdpScratch::new();
+        let mut got = Vec::new();
+        for window in [Window::Rectangular, Window::Hann] {
+            let est = PdpEstimator::new().with_window(window);
+            let check = |snaps: &[CsiSnapshot], got: &[f64], what: &str| {
+                assert_eq!(got.len(), snaps.len(), "{what}");
+                for (i, (snap, &peak)) in snaps.iter().zip(got).enumerate() {
+                    let oracle = est.delay_profile(snap).peak().power;
+                    assert_eq!(
+                        peak.to_bits(),
+                        oracle.to_bits(),
+                        "{window:?} {what} snapshot {i} (len {}): {peak} vs {oracle}",
+                        snap.h.len()
+                    );
+                }
+            };
+            for &n in &lens {
+                for count in 1..=16 {
+                    let snaps: Vec<CsiSnapshot> =
+                        (0..count).map(|i| hostile_snapshot(n, i + count)).collect();
+                    got.clear();
+                    est.batch_peaks(snaps.iter(), &mut scratch, &mut got);
+                    check(&snaps, &got, &format!("len {n} run of {count}"));
+                }
+            }
+            // Mixed lengths: runs of 1..=20 snapshots per length, in an
+            // order that revisits lengths, so chunks of every width meet
+            // stale seed and work buffers.
+            let mut mixed = Vec::new();
+            for (i, &n) in lens.iter().chain(lens.iter().rev()).enumerate() {
+                mixed.extend((0..1 + (7 * i) % 20).map(|k| hostile_snapshot(n, i + k)));
+            }
+            got.clear();
+            est.batch_peaks(mixed.iter(), &mut scratch, &mut got);
+            check(&mixed, &got, "mixed burst");
+        }
     }
 }

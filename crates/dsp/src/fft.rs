@@ -30,32 +30,6 @@ pub fn ifft(x: &[Complex]) -> Vec<Complex> {
     dft(x, true)
 }
 
-/// Naive O(N²) DFT. Exists as a cross-check oracle for the fast paths and
-/// for very short inputs where it is competitive.
-pub fn dft_naive(x: &[Complex], inverse: bool) -> Vec<Complex> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut out = Vec::with_capacity(n);
-    for k in 0..n {
-        let mut acc = Complex::ZERO;
-        for (i, &xi) in x.iter().enumerate() {
-            let theta = sign * 2.0 * PI * (k as f64) * (i as f64) / (n as f64);
-            acc += xi * Complex::cis(theta);
-        }
-        out.push(acc);
-    }
-    if inverse {
-        let scale = 1.0 / n as f64;
-        for v in &mut out {
-            *v = v.scale(scale);
-        }
-    }
-    out
-}
-
 fn dft(x: &[Complex], inverse: bool) -> Vec<Complex> {
     let n = x.len();
     if n == 0 {
@@ -169,6 +143,33 @@ pub fn ifft_padded_into(x: &[Complex], min_len: usize, out: &mut Vec<Complex>) {
     for v in out.iter_mut() {
         *v = v.scale(scale);
     }
+}
+
+/// Naive O(N²) DFT: the cross-check oracle for the fast paths (this
+/// module's and [`crate::plan`]'s tests).
+#[cfg(test)]
+pub(crate) fn dft_naive(x: &[Complex], inverse: bool) -> Vec<Complex> {
+    let n = x.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let sign = if inverse { 1.0 } else { -1.0 };
+    let mut out = Vec::with_capacity(n);
+    for k in 0..n {
+        let mut acc = Complex::ZERO;
+        for (i, &xi) in x.iter().enumerate() {
+            let theta = sign * 2.0 * PI * (k as f64) * (i as f64) / (n as f64);
+            acc += xi * Complex::cis(theta);
+        }
+        out.push(acc);
+    }
+    if inverse {
+        let scale = 1.0 / n as f64;
+        for v in &mut out {
+            *v = v.scale(scale);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -460,5 +461,26 @@ mod tests {
             (got_frac - delay_frac).abs() < 0.05,
             "peak at {got_frac}, expected {delay_frac}"
         );
+    }
+
+    fn complex_vec(
+        len: std::ops::Range<usize>,
+    ) -> impl proptest::prelude::Strategy<Value = Vec<Complex>> {
+        use proptest::prelude::*;
+        prop::collection::vec(
+            (-10.0..10.0f64, -10.0..10.0f64).prop_map(|(re, im)| Complex::new(re, im)),
+            len,
+        )
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fft_matches_naive_dft(x in complex_vec(1..40)) {
+            let fast = fft(&x);
+            let slow = dft_naive(&x, false);
+            for (a, b) in fast.iter().zip(&slow) {
+                proptest::prop_assert!((*a - *b).abs() < 1e-7);
+            }
+        }
     }
 }

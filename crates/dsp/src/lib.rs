@@ -16,7 +16,8 @@
 //! * [`soa`] / [`batch`] — split (structure-of-arrays) complex buffers and
 //!   the batched FFT kernel that marches a burst of same-length packets
 //!   through the planned butterflies in lockstep, bit-identical per lane to
-//!   the per-packet plan.
+//!   the per-packet plan; its zero-pruned inverse skips the stages that
+//!   only broadcast a zero-padded row's values.
 //! * [`pdp`] — power delay profiles and their summary taps.
 //! * [`stats`] — mean/variance/percentiles and empirical CDFs (the paper's
 //!   accuracy metric) plus the spatial-localizability-variance helper.

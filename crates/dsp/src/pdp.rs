@@ -6,10 +6,52 @@
 //! received energy spreads across propagation delays. NomLoc obtains it by
 //! an IFFT of the frequency-domain CSI and summarizes each link by its
 //! maximum tap power (§IV-A).
+//!
+//! A [`DelayProfile`] materializes every tap; it is the reference. The
+//! serving path needs only each packet's peak, which
+//! [`DelayProfile::peak_powers_from_seeds`] computes for up to 16 packets
+//! at once: the zero-pruned batched inverse of [`crate::batch`] folds its
+//! last butterfly pass straight into per-lane peak powers, bit-identical
+//! to `from_csi(..).peak().power` for every input, non-finite CSI
+//! included.
 
-use crate::batch::BatchFftPlan;
+use crate::batch::{BatchFftPlan, RowSink, MAX_LANES};
 use crate::soa::SoaComplex;
 use crate::{fft, Complex};
+
+/// The last-pass sink of [`DelayProfile::peak_powers_from_seeds`]: per
+/// tap, `1/N` normalization, then gain, then power, folded into a
+/// branch-free per-lane maximum. `probe` sums each lane's powers, which
+/// are never negative, so it turns NaN exactly when some power was NaN.
+struct PeakFold {
+    scale: f64,
+    gain: f64,
+    best: [f64; MAX_LANES],
+    probe: [f64; MAX_LANES],
+}
+
+impl RowSink for PeakFold {
+    #[inline(always)]
+    fn put<const L: usize>(
+        &mut self,
+        _dst_re: &mut [f64; L],
+        _dst_im: &mut [f64; L],
+        re: &[f64; L],
+        im: &[f64; L],
+    ) {
+        let best = self.best.first_chunk_mut::<L>().expect("L <= MAX_LANES");
+        let probe = self.probe.first_chunk_mut::<L>().expect("L <= MAX_LANES");
+        for l in 0..L {
+            // The scalar path's order: `h · (1/N)`, then `· gain`, then
+            // the norm.
+            let sr = re[l] * self.scale * self.gain;
+            let si = im[l] * self.scale * self.gain;
+            let power = sr * sr + si * si;
+            best[l] = if power > best[l] { power } else { best[l] };
+            probe[l] += power;
+        }
+    }
+}
 
 /// The delay-domain power profile of one radio link.
 ///
@@ -104,29 +146,34 @@ impl DelayProfile {
         }
     }
 
-    /// Batched `from_csi_with(..).peak().power`: one peak tap power per
-    /// lane of a lane-major batch of same-length CSI rows.
+    /// Per-lane peak tap powers — `from_csi(..).peak().power` of each
+    /// lane's CSI row — from the zero-pruned batched inverse.
     ///
-    /// The caller packs `lanes` CSI rows of original length `csi_len` into
-    /// `buf` via [`SoaComplex::reset`] (to `plan.len() * lanes` zeros — the
-    /// zero rows beyond `csi_len` are exactly the padding
-    /// [`fft::ifft_padded_into`] would append) and [`SoaComplex::write_lane`],
-    /// with `plan.len() == fft::padded_len(csi_len, min_taps)`. This runs a
-    /// single batched inverse transform and folds each lane's tap powers
-    /// into its running maximum, writing one peak per lane into `out`.
+    /// The caller writes `lanes` CSI rows of original length `csi_len` into
+    /// `seeds` with [`BatchFftPlan::scatter_seeds`], with
+    /// `plan.len() == fft::padded_len(csi_len, min_taps)`. The zero-pruned
+    /// inverse (see [`crate::batch`]) folds its last pass straight into the
+    /// peaks: `1/N` normalization, the same `(h · gain)` norm as
+    /// [`DelayProfile::from_csi`], and a running numeric maximum per lane.
+    /// `work` is scratch, grown to `plan.len() * lanes` and reused.
     ///
-    /// Bit-identical per lane to the scalar path: the batched kernel
-    /// performs the scalar kernel's float ops in the same per-lane order,
-    /// and the fold uses the same `(h · gain)` norm and the same
-    /// `total_cmp` order as [`DelayProfile::peak`] (later ties win).
+    /// Bit-identical per lane to `from_csi(..).peak().power`, non-finite
+    /// CSI included. Every tap power is a sum of squares, so never `-0.0`:
+    /// without NaN, the numeric maximum is the `total_cmp` maximum
+    /// [`DelayProfile::peak`] takes (equal powers are equal bits, so which
+    /// tap wins a tie does not matter). A lane in which any power is NaN —
+    /// which `total_cmp` ranks by sign and payload — is read back from the
+    /// seeds and takes the peak of its materialized profile instead.
     ///
     /// # Panics
     ///
     /// Panics when `csi_len` is zero, `plan.len() < csi_len`, `lanes` is
-    /// zero, or `buf.len() != plan.len() * lanes`.
-    pub fn peak_powers_from_batch_with(
+    /// not a power of two up to [`MAX_LANES`], or
+    /// `seeds.len() != csi_len.next_power_of_two() * lanes`.
+    pub fn peak_powers_from_seeds(
         plan: &BatchFftPlan,
-        buf: &mut SoaComplex,
+        seeds: &SoaComplex,
+        work: &mut SoaComplex,
         lanes: usize,
         csi_len: usize,
         out: &mut Vec<f64>,
@@ -136,68 +183,27 @@ impl DelayProfile {
             plan.len() >= csi_len,
             "padded plan must cover the CSI length"
         );
-        plan.inverse(buf, lanes);
-        Self::fold_batch_peaks(plan, buf, lanes, csi_len, out);
-    }
-
-    /// [`DelayProfile::peak_powers_from_batch_with`] for a batch whose
-    /// rows were scattered straight into bit-reversed positions via
-    /// [`BatchFftPlan::scatter_lane`]: the inverse transform skips the
-    /// swap traversal ([`BatchFftPlan::inverse_prepermuted`]), everything
-    /// else — gain, fold order, tie-break — is identical, so the peaks
-    /// stay bit-identical to the scalar path.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`DelayProfile::peak_powers_from_batch_with`].
-    pub fn peak_powers_from_prepermuted_batch_with(
-        plan: &BatchFftPlan,
-        buf: &mut SoaComplex,
-        lanes: usize,
-        csi_len: usize,
-        out: &mut Vec<f64>,
-    ) {
-        assert!(csi_len > 0, "CSI must not be empty");
-        assert!(
-            plan.len() >= csi_len,
-            "padded plan must cover the CSI length"
+        assert_eq!(
+            seeds.len(),
+            csi_len.next_power_of_two() * lanes,
+            "seed buffer length must be seed rows × lanes"
         );
-        plan.inverse_prepermuted(buf, lanes);
-        Self::fold_batch_peaks(plan, buf, lanes, csi_len, out);
-    }
-
-    /// Shared gain + per-lane running-maximum fold over a transformed
-    /// batch (taps walked row-major, so per lane the visit order matches
-    /// the scalar fold exactly).
-    fn fold_batch_peaks(
-        plan: &BatchFftPlan,
-        buf: &SoaComplex,
-        lanes: usize,
-        csi_len: usize,
-        out: &mut Vec<f64>,
-    ) {
-        let gain = plan.len() as f64 / csi_len as f64;
+        let mut fold = PeakFold {
+            scale: 1.0 / plan.len() as f64,
+            gain: plan.len() as f64 / csi_len as f64,
+            best: [f64::NEG_INFINITY; MAX_LANES],
+            probe: [0.0; MAX_LANES],
+        };
+        plan.run_pruned(seeds, work, lanes, &mut fold);
         out.clear();
-        // Tap 0 initializes each lane's running maximum…
-        for lane in 0..lanes {
-            let sr = buf.re[lane] * gain;
-            let si = buf.im[lane] * gain;
-            out.push(sr * sr + si * si);
-        }
-        // …and taps 1.. fold in row-major order: per lane this visits taps
-        // in exactly the order the scalar fold does.
-        for i in 1..plan.len() {
-            let base = i * lanes;
-            let row_re = &buf.re[base..base + lanes];
-            let row_im = &buf.im[base..base + lanes];
-            for ((best, &re), &im) in out.iter_mut().zip(row_re).zip(row_im) {
-                let sr = re * gain;
-                let si = im * gain;
-                let power = sr * sr + si * si;
-                if power.total_cmp(best) != std::cmp::Ordering::Less {
-                    *best = power;
-                }
-            }
+        out.extend_from_slice(&fold.best[..lanes]);
+        for lane in (0..lanes).filter(|&l| fold.probe[l].is_nan()) {
+            // `total_cmp` ranks NaN by sign and payload, which a numeric
+            // maximum cannot see: this lane takes the peak of its
+            // materialized profile (the bandwidth only sets tap spacing).
+            let mut row = Vec::new();
+            plan.gather_seeds(seeds, lane, lanes, csi_len, &mut row);
+            out[lane] = Self::from_csi(&row, 1.0, plan.len()).peak().power;
         }
     }
 
@@ -321,6 +327,67 @@ impl DelayProfile {
             f64::INFINITY
         } else {
             peak / rest
+        }
+    }
+}
+
+/// The unpruned batched path the seeded kernel replaced, kept as its test
+/// oracle.
+#[cfg(test)]
+impl DelayProfile {
+    /// Batched `from_csi_with(..).peak().power` over a full lane-major
+    /// batch: the caller packs `lanes` CSI rows of length `csi_len` into
+    /// `buf` via [`SoaComplex::reset`] (to `plan.len() * lanes` zeros, the
+    /// padding) and [`SoaComplex::write_lane`]; this runs the full batched
+    /// inverse and the `total_cmp` fold.
+    pub(crate) fn peak_powers_from_batch_with(
+        plan: &BatchFftPlan,
+        buf: &mut SoaComplex,
+        lanes: usize,
+        csi_len: usize,
+        out: &mut Vec<f64>,
+    ) {
+        assert!(csi_len > 0, "CSI must not be empty");
+        assert!(
+            plan.len() >= csi_len,
+            "padded plan must cover the CSI length"
+        );
+        plan.inverse(buf, lanes);
+        Self::fold_batch_peaks(plan, buf, lanes, csi_len, out);
+    }
+
+    /// Gain + per-lane `total_cmp` running-maximum fold over a transformed
+    /// batch (taps walked row-major, so per lane the visit order matches
+    /// [`DelayProfile::peak`]'s exactly, later ties winning).
+    fn fold_batch_peaks(
+        plan: &BatchFftPlan,
+        buf: &SoaComplex,
+        lanes: usize,
+        csi_len: usize,
+        out: &mut Vec<f64>,
+    ) {
+        let gain = plan.len() as f64 / csi_len as f64;
+        out.clear();
+        // Tap 0 initializes each lane's running maximum…
+        for lane in 0..lanes {
+            let sr = buf.re[lane] * gain;
+            let si = buf.im[lane] * gain;
+            out.push(sr * sr + si * si);
+        }
+        // …and taps 1.. fold in row-major order: per lane this visits taps
+        // in exactly the order the scalar fold does.
+        for i in 1..plan.len() {
+            let base = i * lanes;
+            let row_re = &buf.re[base..base + lanes];
+            let row_im = &buf.im[base..base + lanes];
+            for ((best, &re), &im) in out.iter_mut().zip(row_re).zip(row_im) {
+                let sr = re * gain;
+                let si = im * gain;
+                let power = sr * sr + si * si;
+                if power.total_cmp(best) != std::cmp::Ordering::Less {
+                    *best = power;
+                }
+            }
         }
     }
 }
@@ -530,5 +597,120 @@ mod tests {
         assert!(los.k_factor() > nlos.k_factor());
         let pure = DelayProfile::from_cir(&[Complex::ONE], 50e-9);
         assert!(pure.k_factor().is_infinite());
+    }
+
+    /// Lane `l` of a hostile batch: finite two-path CSI, all zeros, a
+    /// quiet NaN, ±infinity, NaN beside infinity, a negative NaN with a
+    /// payload, and magnitudes whose butterflies overflow.
+    fn hostile_row(csi_len: usize, l: usize) -> Vec<Complex> {
+        let mut row = two_path_csi(csi_len, 20e6, (40 + 30 * l) as f64 * 1e-9, 1.0, 350e-9, 0.4);
+        let at = (7 * l + 3) % csi_len;
+        let neg_nan = f64::from_bits(0xFFF4_0000_0000_1234);
+        match l % 8 {
+            0 => {}
+            1 => row.iter_mut().for_each(|z| *z = Complex::ZERO),
+            2 => row[at].re = f64::NAN,
+            3 => row[at].im = f64::INFINITY,
+            4 => row[at].re = f64::NEG_INFINITY,
+            5 => {
+                row[at].im = f64::NAN;
+                row[csi_len - 1 - at].re = f64::INFINITY;
+            }
+            6 => row[at] = Complex::new(neg_nan, -1.0),
+            _ => row
+                .iter_mut()
+                .for_each(|z| *z = Complex::new(1e308, -1e308)),
+        }
+        row
+    }
+
+    #[test]
+    fn seeded_peaks_match_profile_peak_bits_on_hostile_csi() {
+        // Every CSI length class (a lone seed, stride 1, pads of 2–256),
+        // every lane count, and lanes whose powers are NaN, infinite or
+        // zero: each peak's bits equal the materialized profile's peak.
+        let mut seeds = SoaComplex::new();
+        let mut work = SoaComplex::new();
+        let mut peaks = Vec::new();
+        for csi_len in [1usize, 2, 3, 17, 30, 31, 32, 33, 64, 200, 256, 300] {
+            for min_taps in [1usize, 64, 256] {
+                let padded = fft::padded_len(csi_len, min_taps);
+                let plan = BatchFftPlan::new(padded);
+                for lanes in [1, 2, 4, 8] {
+                    // Rotate the hostile kinds so every kind meets every
+                    // lane position across the lane counts.
+                    let rows: Vec<Vec<Complex>> = (0..lanes)
+                        .map(|l| hostile_row(csi_len, l + lanes))
+                        .collect();
+                    seeds.reset(csi_len.next_power_of_two() * lanes);
+                    for (l, row) in rows.iter().enumerate() {
+                        plan.scatter_seeds(&mut seeds, l, lanes, row);
+                    }
+                    DelayProfile::peak_powers_from_seeds(
+                        &plan, &seeds, &mut work, lanes, csi_len, &mut peaks,
+                    );
+                    assert_eq!(peaks.len(), lanes);
+                    for (l, row) in rows.iter().enumerate() {
+                        let oracle = DelayProfile::from_csi(row, 20e6, min_taps).peak().power;
+                        assert_eq!(
+                            peaks[l].to_bits(),
+                            oracle.to_bits(),
+                            "csi_len={csi_len} min_taps={min_taps} lanes={lanes} lane={l}: \
+                             {} vs {oracle}",
+                            peaks[l]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random batch of `lanes` rows of `n` samples.
+    fn seeded_rows(n: usize, lanes: usize, seed: u64) -> Vec<Vec<Complex>> {
+        (0..lanes)
+            .map(|l| {
+                (0..n)
+                    .map(|i| {
+                        let t = (i as f64 + 1.3 * l as f64 + 1.0) * (seed as f64 * 0.01 + 1.0);
+                        Complex::new((0.37 * t).sin(), (0.73 * t).cos())
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn batched_pdp_peaks_match_scalar_oracle(
+            csi_len in 1usize..60,
+            lanes in 1usize..17,
+            min_log2 in 0u32..9,
+            seed in 0u64..500,
+        ) {
+            // The full batched PDP reduction (pad → lockstep IFFT → gain →
+            // max-tap fold) against the scalar profile's peak tap
+            // (DelayProfile::from_csi_with(..).peak().power). Bit-identity per
+            // lane.
+            let min_taps = 1usize << min_log2;
+            let rows = seeded_rows(csi_len, lanes, seed);
+            let padded = fft::padded_len(csi_len, min_taps);
+            let plan = BatchFftPlan::new(padded);
+            let mut soa = SoaComplex::new();
+            soa.reset(padded * lanes);
+            for (l, row) in rows.iter().enumerate() {
+                soa.write_lane(l, lanes, row);
+            }
+            let mut peaks = Vec::new();
+            DelayProfile::peak_powers_from_batch_with(&plan, &mut soa, lanes, csi_len, &mut peaks);
+            proptest::prop_assert_eq!(peaks.len(), lanes);
+            let mut scratch = Vec::new();
+            for (l, row) in rows.iter().enumerate() {
+                let scalar = DelayProfile::from_csi_with(row, 20e6, min_taps, &mut scratch)
+                    .peak()
+                    .power;
+                proptest::prop_assert_eq!(peaks[l], scalar, "lane {} of {}", l, lanes);
+            }
+        }
+
     }
 }

@@ -398,4 +398,32 @@ mod tests {
             assert!((*a - *b).abs() < 1e-9);
         }
     }
+
+    proptest::proptest! {
+        #[test]
+        fn plan_matches_naive_dft_all_power_of_two_sizes(log2 in 1u32..11, seed in 0u64..1000) {
+            // Sizes 2..=1024: the planned kernel must track the O(N²) oracle in
+            // both directions. Seeded pseudo-random input keeps shrinking useful.
+            let n = 1usize << log2;
+            let x: Vec<Complex> = (0..n)
+                .map(|i| {
+                    let t = (i as f64 + 1.0) * (seed as f64 + 1.0);
+                    Complex::new((0.37 * t).sin(), (0.73 * t).cos())
+                })
+                .collect();
+            let plan = FftPlan::new(n);
+
+            let mut fwd = x.clone();
+            plan.forward(&mut fwd);
+            for (a, b) in fwd.iter().zip(&dft_naive(&x, false)) {
+                proptest::prop_assert!((*a - *b).abs() < 1e-9 * n as f64);
+            }
+
+            let mut inv = x.clone();
+            plan.inverse(&mut inv);
+            for (a, b) in inv.iter().zip(&dft_naive(&x, true)) {
+                proptest::prop_assert!((*a - *b).abs() < 1e-9);
+            }
+        }
+    }
 }

@@ -77,6 +77,15 @@ impl SoaComplex {
         self.im.resize(len, 0.0);
     }
 
+    /// Resizes both components to `len`, keeping the first
+    /// `min(len, self.len())` elements (new ones are zero) — for buffers
+    /// whose every element the next kernel overwrites, where the zero fill
+    /// of [`SoaComplex::reset`] would be wasted.
+    pub fn resize(&mut self, len: usize) {
+        self.re.resize(len, 0.0);
+        self.im.resize(len, 0.0);
+    }
+
     /// Element at flat index `idx`.
     ///
     /// # Panics

@@ -22,15 +22,6 @@ proptest! {
     }
 
     #[test]
-    fn fft_matches_naive_dft(x in complex_vec(1..40)) {
-        let fast = fft::fft(&x);
-        let slow = fft::dft_naive(&x, false);
-        for (a, b) in fast.iter().zip(&slow) {
-            prop_assert!((*a - *b).abs() < 1e-7);
-        }
-    }
-
-    #[test]
     fn parseval_holds(x in complex_vec(1..64)) {
         let spec = fft::fft(&x);
         let e_time: f64 = x.iter().map(|z| z.norm_sq()).sum();
@@ -106,32 +97,6 @@ proptest! {
         let profile = DelayProfile::from_csi(&x, 20e6, 64);
         prop_assert!(profile.total_power() > 0.0);
         prop_assert!(profile.rms_delay_spread() >= 0.0);
-    }
-
-    #[test]
-    fn plan_matches_naive_dft_all_power_of_two_sizes(log2 in 1u32..11, seed in 0u64..1000) {
-        // Sizes 2..=1024: the planned kernel must track the O(N²) oracle in
-        // both directions. Seeded pseudo-random input keeps shrinking useful.
-        let n = 1usize << log2;
-        let x: Vec<Complex> = (0..n)
-            .map(|i| {
-                let t = (i as f64 + 1.0) * (seed as f64 + 1.0);
-                Complex::new((0.37 * t).sin(), (0.73 * t).cos())
-            })
-            .collect();
-        let plan = FftPlan::new(n);
-
-        let mut fwd = x.clone();
-        plan.forward(&mut fwd);
-        for (a, b) in fwd.iter().zip(&fft::dft_naive(&x, false)) {
-            prop_assert!((*a - *b).abs() < 1e-9 * n as f64);
-        }
-
-        let mut inv = x.clone();
-        plan.inverse(&mut inv);
-        for (a, b) in inv.iter().zip(&fft::dft_naive(&x, true)) {
-            prop_assert!((*a - *b).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -44,10 +44,12 @@
 //! deterministic by construction — returns byte-identical estimates over
 //! the network and in process. The loopback integration test pins that.
 
-// `deny` instead of `forbid` for one reason: the daemon's event-loop
-// readiness layer needs four libc symbols std does not re-export. All
-// `unsafe` lives in the tiny `sys` module of `poll.rs` (explicitly
-// `allow`ed there); everything else in the crate still refuses it.
+// `deny` instead of `forbid` for two reasons: the daemon's event-loop
+// readiness layer needs four libc symbols std does not re-export, and the
+// CRC-32 folding kernel enters a function compiled for `PCLMULQDQ`. All
+// `unsafe` lives in the tiny `sys` module of `poll.rs` and the `clmul`
+// module of `crc32.rs` (each explicitly `allow`ed there); everything else
+// in the crate still refuses it.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -4,9 +4,11 @@
 //! The daemon is std-only by design, and std exposes no readiness API —
 //! but it *links* libc, so the handful of symbols needed here
 //! (`epoll_create1`/`epoll_ctl`/`epoll_wait`/`close`, or `poll`) are
-//! declared directly and resolve at link time. All `unsafe` in the crate
-//! is confined to the tiny `sys` module in this file; everything above it
-//! is a safe wrapper with owned file descriptors and checked lengths.
+//! declared directly and resolve at link time. All `unsafe` of the socket
+//! layer is confined to the tiny `sys` module in this file (the crate's
+//! only other `unsafe` is the CRC-32 folding kernel's call in `crc32.rs`);
+//! everything above it is a safe wrapper with owned file descriptors and
+//! checked lengths.
 //!
 //! Level-triggered semantics throughout (the epoll default): an fd with
 //! unread input or unflushed-but-writable output keeps reporting ready,
@@ -182,8 +184,8 @@ mod imp {
     use std::os::unix::io::RawFd;
     use std::time::Duration;
 
-    /// The raw epoll syscall surface. The single `unsafe` island of the
-    /// crate: fixed-signature FFI onto libc symbols std already links,
+    /// The raw epoll syscall surface. The socket layer's single `unsafe`
+    /// island: fixed-signature FFI onto libc symbols std already links,
     /// with all pointer/length pairs derived from Rust slices.
     #[allow(unsafe_code)]
     mod sys {

@@ -2194,4 +2194,71 @@ mod tests {
             report.site.position.x.to_bits()
         );
     }
+
+    /// A lab-dense request frame: venue 0, 32 packets per AP (~93 KB).
+    fn lab_dense_frame() -> Vec<u8> {
+        use nomloc_core::scenario::{fleet_venue, WorkloadBuilder};
+        let (_, reports) = WorkloadBuilder::new(&fleet_venue(0)).request(0, 32, 7);
+        frame_to_vec(&Frame::LocateRequest(LocateRequest {
+            request_id: 9,
+            deadline_us: 0,
+            venue_id: 0,
+            session_id: 0,
+            reports: reports.iter().map(WireReport::from_core).collect(),
+        }))
+    }
+
+    #[test]
+    fn lab_dense_frame_crc_is_the_portable_crc_and_catches_bit_flips() {
+        let bytes = lab_dense_frame();
+        assert!(bytes.len() > 90_000, "frame is {} bytes", bytes.len());
+        let payload = &bytes[HEADER_LEN..];
+        let declared = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+        assert_eq!(crc32(payload), crate::crc32::crc32_portable(payload));
+        assert_eq!(declared, crate::crc32::crc32_portable(payload));
+        // One flipped bit in the first, middle or last payload byte.
+        for at in [HEADER_LEN, HEADER_LEN + payload.len() / 2, bytes.len() - 1] {
+            for bit in [0, 3, 7] {
+                let mut corrupted = bytes.clone();
+                corrupted[at] ^= 1 << bit;
+                let got = crate::crc32::crc32_portable(&corrupted[HEADER_LEN..]);
+                assert_eq!(
+                    decode_frame(&corrupted),
+                    Err(WireError::BadCrc {
+                        expected: declared,
+                        got
+                    }),
+                    "flip at byte {at} bit {bit}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lab_dense_frame_decodes_at_random_split_points() {
+        // Fed in random-sized pieces, the stream decoder checks the same
+        // CRC and yields the same frame as a one-shot decode.
+        let bytes = lab_dense_frame();
+        let (whole, _) = decode_frame(&bytes).unwrap();
+        let mut z = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..8 {
+            let mut dec = StreamDecoder::new();
+            let mut frames = Vec::new();
+            let mut at = 0;
+            while at < bytes.len() {
+                z ^= z << 13;
+                z ^= z >> 7;
+                z ^= z << 17;
+                // Mostly small pieces, now and then a large one.
+                let step = 1 + (z % if z.is_multiple_of(5) { 40_000 } else { 3_000 }) as usize;
+                let end = (at + step).min(bytes.len());
+                dec.extend(&bytes[at..end]);
+                at = end;
+                while let Some(frame) = dec.next_frame().unwrap() {
+                    frames.push(frame);
+                }
+            }
+            assert_eq!(frames, vec![whole.clone()], "round {round}");
+        }
+    }
 }

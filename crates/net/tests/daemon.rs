@@ -15,7 +15,8 @@ use nomloc_core::scenario::Venue;
 use nomloc_core::server::CsiReport;
 use nomloc_core::{ApSite, LocalizationServer};
 use nomloc_net::wire::{
-    decode_frame, frame_to_vec, LocateRequest, LocateResponse, WireReport, WireSnapshot,
+    decode_frame, frame_to_vec, LocateRequest, LocateResponse, WireEstimate, WireReport,
+    WireSnapshot,
 };
 use nomloc_net::{admin, spawn, DaemonConfig, ErrorCode, Frame, LoadgenConfig, WireVenue};
 use nomloc_rfsim::{Environment, RadioConfig, SubcarrierGrid};
@@ -248,6 +249,84 @@ fn malformed_request_does_not_poison_the_batch() {
         "request 2 should localize: {:?}",
         responses[2].outcome
     );
+    handle.shutdown();
+}
+
+/// CSI coefficients are not checked for finiteness on the wire, so NaN
+/// and ±infinity reach the PDP kernel. Each such request gets exactly the
+/// reply an in-process `process_batch` gives its decoded reports: the
+/// same estimate bits, or the same error code.
+#[test]
+fn non_finite_csi_gets_the_in_process_reply() {
+    let venue = Venue::lab();
+    let handle = spawn(lab_server(), DaemonConfig::default(), "127.0.0.1:0").expect("spawn daemon");
+    // Request i poisons one coefficient of report i.
+    let poison = |i: usize, h: &mut (f64, f64)| match i {
+        0 => h.0 = f64::NAN,
+        1 => h.1 = f64::INFINITY,
+        2 => *h = (f64::NEG_INFINITY, -f64::NAN),
+        _ => *h = (1e308, 1e308),
+    };
+    let requests: Vec<LocateRequest> = (0..4)
+        .map(|i| {
+            let mut reports: Vec<WireReport> = real_reports(&venue, 40 + i as u64)
+                .iter()
+                .map(WireReport::from_core)
+                .collect();
+            poison(i, &mut reports[i].burst[0].h[7]);
+            LocateRequest {
+                request_id: i as u64,
+                deadline_us: 0,
+                venue_id: 0,
+                session_id: 0,
+                reports,
+            }
+        })
+        .collect();
+    let decoded: Vec<Vec<CsiReport>> = requests
+        .iter()
+        .map(|r| r.to_core_reports().expect("finite offsets convert"))
+        .collect();
+    let expected = lab_server().process_batch(&decoded);
+
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    for req in &requests {
+        stream
+            .write_all(&frame_to_vec(&Frame::LocateRequest(req.clone())))
+            .unwrap();
+    }
+    let mut responses = read_responses(&mut stream, requests.len());
+    responses.sort_by_key(|r| r.request_id);
+    let bits = |e: &WireEstimate| {
+        [
+            e.x.to_bits(),
+            e.y.to_bits(),
+            e.relaxation_cost.to_bits(),
+            e.region_area.to_bits(),
+            e.n_constraints,
+            e.n_winning_pieces,
+        ]
+    };
+    for (resp, want) in responses.iter().zip(&expected) {
+        match (&resp.outcome, want) {
+            (Ok(got), Ok(est)) => assert_eq!(
+                bits(got),
+                bits(&WireEstimate::from_core(est)),
+                "request {}",
+                resp.request_id
+            ),
+            (Err(got), Err(e)) => assert_eq!(
+                got.code,
+                ErrorCode::from_estimate_error(e),
+                "request {}",
+                resp.request_id
+            ),
+            (got, want) => panic!(
+                "request {}: daemon {got:?} vs in-process {want:?}",
+                resp.request_id
+            ),
+        }
+    }
     handle.shutdown();
 }
 

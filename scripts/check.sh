@@ -90,10 +90,15 @@ if [[ "$cd_total" != "400" ]]; then
 fi
 
 echo "==> serving benchmark (quick): BENCH_serving.json present and well-formed"
-# Capture the committed PDP stage cost *before* the quick run overwrites
-# the file — it is the baseline for the regression guard below.
-committed_pdp="$(git show HEAD:BENCH_serving.json 2>/dev/null |
-  sed -n 's/.*"pdp_ns_per_request"[[:space:]]*:[[:space:]]*\([0-9.]*\).*/\1/p' | head -1)"
+# The first number recorded under key "$1" in the JSON on stdin.
+json_num() {
+  sed -n "s/.*\"$1\"[[:space:]]*:[[:space:]]*\([0-9.]*\).*/\1/p" | head -1
+}
+# Capture the committed PDP and decode stage costs *before* the quick run
+# overwrites the file — they are the baselines for the regression guards
+# below.
+committed_pdp="$(git show HEAD:BENCH_serving.json 2>/dev/null | json_num pdp_ns_per_request)"
+committed_decode="$(git show HEAD:BENCH_serving.json 2>/dev/null | json_num decode_ns_per_request)"
 NOMLOC_BENCH_QUICK=1 cargo run --release -p nomloc-bench --bin bench_serving_json --offline
 if [[ ! -s BENCH_serving.json ]]; then
   echo "error: BENCH_serving.json missing or empty" >&2
@@ -106,26 +111,37 @@ for key in stages end_to_end decode_ns_per_request soak venues dispatch sessions
   fi
 done
 
-echo "==> PDP stage regression guard (quick run vs committed BENCH_serving.json)"
-new_pdp="$(sed -n 's/.*"pdp_ns_per_request"[[:space:]]*:[[:space:]]*\([0-9.]*\).*/\1/p' \
-  BENCH_serving.json | head -1)"
-if [[ -z "$committed_pdp" ]]; then
-  echo "    no committed baseline (new file?) — skipping"
-elif [[ -z "$new_pdp" ]]; then
-  echo "error: pdp_ns_per_request missing from fresh BENCH_serving.json" >&2
-  exit 1
-else
-  # Fail on a >25% regression; quick-mode runs are noisy, so the margin is
-  # deliberately generous — a real hot-path regression blows well past it.
-  awk -v new="$new_pdp" -v old="$committed_pdp" 'BEGIN {
-    limit = old * 1.25
-    printf "    pdp_ns_per_request: %.1f (committed %.1f, limit %.1f)\n", new, old, limit
-    exit (new > limit) ? 1 : 0
-  }' || {
-    echo "error: PDP stage regressed >25% vs committed baseline" >&2
+# stage_guard KEY COMMITTED LABEL: fail when stage KEY of the fresh
+# BENCH_serving.json regressed >25% against the committed baseline.
+stage_guard() {
+  local key="$1" committed="$2" label="$3" new
+  new="$(json_num "$key" <BENCH_serving.json)"
+  if [[ -z "$committed" ]]; then
+    echo "    no committed baseline (new file?) — skipping"
+  elif [[ -z "$new" ]]; then
+    echo "error: $key missing from fresh BENCH_serving.json" >&2
     exit 1
-  }
-fi
+  else
+    # Quick-mode runs are noisy, so the margin is deliberately generous —
+    # a real hot-path regression blows well past it.
+    awk -v key="$key" -v new="$new" -v old="$committed" 'BEGIN {
+      limit = old * 1.25
+      printf "    %s: %.1f (committed %.1f, limit %.1f)\n", key, new, old, limit
+      exit (new > limit) ? 1 : 0
+    }' || {
+      echo "error: $label stage regressed >25% vs committed baseline" >&2
+      exit 1
+    }
+  fi
+}
+
+echo "==> PDP stage regression guard (quick run vs committed BENCH_serving.json)"
+stage_guard pdp_ns_per_request "$committed_pdp" PDP
+
+echo "==> decode stage regression guard (quick run vs committed BENCH_serving.json)"
+# Frame decode includes the payload CRC-32, so this also catches a silent
+# fall-back from the carry-less-multiply kernel to slicing-by-8.
+stage_guard decode_ns_per_request "$committed_decode" decode
 
 echo "==> dispatch regression guard (quick run vs committed BENCH_serving.json)"
 # The 100-venue entry is the last element of the "dispatch" array: the

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Non-test line counts: every .rs file under crates/*/src and src/, cut at
 # its in-file `#[cfg(test)]` module (the first `#[cfg(test)]` line followed
-# by a `mod name {` line). A file declared as `#[cfg(test)] mod name;` (the
+# by a `mod name {` line). Any other top-level `#[cfg(test)]` item (the
+# attribute in column 0, then an `impl`, `fn`, `struct`, …) is skipped
+# through its closing `}` in column 0, or its one line when that ends in
+# `;`. A file declared as `#[cfg(test)] mod name;` (the
 # attribute line, then the declaration) is test code as a whole and counts
 # 0, as does every file below its module directory. Integration tests,
 # benches and examples are not counted.
@@ -48,7 +51,9 @@ count() {
     fi
   done
   awk '
+    skip { if ($0 ~ /^}/) skip = 0; prev = $0; next }
     prev ~ /^#\[cfg\(test\)\]/ && $0 ~ /^(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ *\{/ { n--; exit }
+    prev ~ /^#\[cfg\(test\)\]/ { n--; if ($0 !~ /;[ \t]*$/) skip = 1; prev = $0; next }
     { n++; prev = $0 }
     END { print n + 0 }
   ' "$f"
